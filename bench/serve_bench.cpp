@@ -127,7 +127,7 @@
  * peak-resident-set fields that bench_diff.py never gates on.
  *
  *   $ ./serve_bench [--smoke] [--stress] [--threads N]
- *   $ ./serve_bench million [--smoke]
+ *   $ ./serve_bench million [--smoke] [--threads N]
  */
 
 #include <algorithm>
@@ -1076,7 +1076,10 @@ millionSpecs()
     std::vector<TenantSpec> specs;
     for (std::size_t i = 0; i < 12; ++i) {
         TenantSpec s;
-        s.name = "m" + std::to_string(specs.size());
+        // Appending (not `"m" + ...`) dodges GCC 12's false-positive
+        // -Wrestrict under -pg -fno-inline-functions.
+        s.name = "m";
+        s.name += std::to_string(specs.size());
         s.kind = WorkloadKind::Micro;
         s.weight = 1.0 + static_cast<double>(i % 4);
         s.ratePerKns = 2.0;
@@ -1084,7 +1087,8 @@ millionSpecs()
     }
     for (std::size_t i = 0; i < 4; ++i) {
         TenantSpec s;
-        s.name = "m" + std::to_string(specs.size());
+        s.name = "m";
+        s.name += std::to_string(specs.size());
         s.kind = WorkloadKind::Micro;
         s.ratePerKns = 4.0;
         s.burst = {200000, 300000};
@@ -1113,6 +1117,7 @@ millionSetup()
     setup.admission.queueDepth = 2;
     setup.admission.qos = QosPolicy::WeightedFair;
     setup.admission.overflow = OverflowPolicy::Block;
+    setup.admission.threads = g_threads;
     setup.tenants = millionSpecs();
     return setup;
 }

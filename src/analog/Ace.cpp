@@ -226,15 +226,11 @@ Ace::execMvm(const std::vector<i64> &x, int input_bits, Cycle start)
                     pp.negate = plane.negate;
                     pp.values.assign(matrix_.cols(), 0);
 
-                    bool any_active = false;
                     for (std::size_t ct = 0; ct < colTiles_; ++ct) {
                         Crossbar &xb = xbar(s, rt, ct);
                         bits.assign(xb.logicalRows(), 0);
-                        for (std::size_t r = 0; r < gnr; ++r) {
-                            const int bit = plane.bits[r0 + gr0 + r];
-                            bits[gr0 + r] = bit;
-                            any_active |= bit != 0;
-                        }
+                        for (std::size_t r = 0; r < gnr; ++r)
+                            bits[gr0 + r] = plane.bits[r0 + gr0 + r];
                         xb.mvmBitInputInto(bits, v_scratch, analog);
                         const std::size_t c0 = ct * colsPerTile_;
                         for (std::size_t c = 0; c < analog.size(); ++c)
@@ -258,7 +254,6 @@ Ace::execMvm(const std::vector<i64> &x, int input_bits, Cycle start)
                             matrix_.cols(), cfg_.numAdcs,
                             rampSweepStates_);
                     }
-                    (void)any_active;
                     stream.push_back(std::move(pp));
                 }
             }

@@ -24,6 +24,8 @@ constexpr char kMagic[8] = {'D', 'A', 'R', 'T', 'H', 'J', 'N', 'L'};
 constexpr u64 kMaxNoteBytes = u64{1} << 20;
 constexpr u64 kMaxValueWords = u64{1} << 28;
 
+} // namespace
+
 void
 appendLeU32(std::vector<unsigned char> &buf, u32 v)
 {
@@ -38,7 +40,31 @@ appendLeU64(std::vector<unsigned char> &buf, u64 v)
         buf.push_back(static_cast<unsigned char>((v >> shift) & 0xff));
 }
 
-} // namespace
+u64
+readLeU64(std::istream &in, const std::string &what)
+{
+    unsigned char bytes[8];
+    if (!in.read(reinterpret_cast<char *>(bytes), sizeof(bytes)))
+        throw std::runtime_error(
+            "journal: truncated while reading " + what);
+    u64 v = 0;
+    for (int i = 0; i < 8; ++i)
+        v |= static_cast<u64>(bytes[i]) << (8 * i);
+    return v;
+}
+
+u32
+readLeU32(std::istream &in, const std::string &what)
+{
+    unsigned char bytes[4];
+    if (!in.read(reinterpret_cast<char *>(bytes), sizeof(bytes)))
+        throw std::runtime_error(
+            "journal: truncated while reading " + what);
+    u32 v = 0;
+    for (int i = 0; i < 4; ++i)
+        v |= static_cast<u32>(bytes[i]) << (8 * i);
+    return v;
+}
 
 /**
  * Canonical little-endian encoding of one record — the bytes the
@@ -135,32 +161,6 @@ journalChainBasis()
 
 namespace
 {
-
-u64
-readLeU64(std::istream &in, const char *what)
-{
-    unsigned char bytes[8];
-    if (!in.read(reinterpret_cast<char *>(bytes), sizeof(bytes)))
-        throw std::runtime_error(
-            std::string("journal: truncated while reading ") + what);
-    u64 v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<u64>(bytes[i]) << (8 * i);
-    return v;
-}
-
-u32
-readLeU32(std::istream &in, const char *what)
-{
-    unsigned char bytes[4];
-    if (!in.read(reinterpret_cast<char *>(bytes), sizeof(bytes)))
-        throw std::runtime_error(
-            std::string("journal: truncated while reading ") + what);
-    u32 v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= static_cast<u32>(bytes[i]) << (8 * i);
-    return v;
-}
 
 /** Minimal JSON string escaping for event notes. */
 std::string

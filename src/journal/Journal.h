@@ -194,6 +194,15 @@ JournalEvent decodeEventBytes(const std::vector<unsigned char> &rec,
  *  binary format and the segmented one (journal/Segment.h). */
 u64 journalChainBasis();
 
+/** Little-endian integer fields of the durable formats (the
+ *  monolithic binary journal and journal/Segment.h's segments). */
+void appendLeU32(std::vector<unsigned char> &buf, u32 v);
+void appendLeU64(std::vector<unsigned char> &buf, u64 v);
+/** Read one field; throws std::runtime_error naming `what` when the
+ *  stream is truncated. */
+u32 readLeU32(std::istream &in, const std::string &what);
+u64 readLeU64(std::istream &in, const std::string &what);
+
 /** Admit's stage argument for whole-unit admissions. */
 constexpr u64 kNoStage = ~u64{0};
 

@@ -17,32 +17,7 @@ namespace journal
 namespace
 {
 
-/** The runtime configuration a slot's factory inputs build. */
-runtime::ChipConfig
-slotChipConfig(const PoolSlotSetup &slot)
-{
-    switch (slot.kind) {
-      case SlotKind::Default: {
-        runtime::ChipConfig cfg;
-        if (slot.hcts != 0)
-            cfg.numHcts = slot.hcts;
-        return cfg;
-      }
-      case SlotKind::Uniform:
-        return serve::uniformChipSpec(slot.hcts, slot.clockGHz).chip;
-      case SlotKind::Sar:
-        return serve::heteroChipSpec(analog::AdcKind::Sar, slot.hcts,
-                                     slot.clockGHz)
-            .chip;
-      case SlotKind::Ramp:
-        return serve::heteroChipSpec(analog::AdcKind::Ramp, slot.hcts,
-                                     slot.clockGHz)
-            .chip;
-    }
-    throw std::invalid_argument("ServeRunSetup: unknown slot kind");
-}
-
-/** The ChipSpec a slot's factory inputs build (heterogeneous path). */
+/** The ChipSpec a slot's factory inputs build. */
 serve::ChipSpec
 slotSpec(const PoolSlotSetup &slot)
 {
@@ -68,7 +43,7 @@ slotSpec(const PoolSlotSetup &slot)
 
 /** Emit the self-describing header: RunBegin, one PoolChip per
  *  slot, AdmissionSetup, one TenantSetup per tenant, FleetSetup when
- *  fleet-driven. Shared by the vector and streaming drive paths. */
+ *  fleet-driven. */
 void
 emitHeaderRecords(const ServeRunSetup &setup,
                   const serve::ChipPool &pool, Journal &jr)
@@ -168,13 +143,15 @@ emitHeaderRecords(const ServeRunSetup &setup,
 
 /**
  * Drive setup's scenario once with `jr` attached, in the canonical
- * record order both recordServeRun and Replayer::replay produce:
- * header records (emitHeaderRecords), then the Placement records
- * buildTenants emits, TraceBegin, and the run itself.
+ * record order every recording and replay path produces: header
+ * records (emitHeaderRecords), then the Placement records
+ * buildTenants emits, TraceBegin announcing `traceBeginCount` (the
+ * request count, or kStreamedTraceCount for a pull-based recording),
+ * and the run itself, pulled from `source`.
  */
 serve::ServeReport
-driveRun(const ServeRunSetup &setup,
-         const std::vector<serve::ServeRequest> &trace, Journal &jr)
+driveRun(const ServeRunSetup &setup, serve::RequestSource &source,
+         Journal &jr, u64 traceBeginCount)
 {
     serve::ChipPool pool(setup.poolConfig());
     emitHeaderRecords(setup, pool, jr);
@@ -184,48 +161,6 @@ driveRun(const ServeRunSetup &setup,
     // Both construction paths emit their eager Placement records
     // here, before TraceBegin (fleet tenants with arriveNs > 0
     // place lazily during the run, after it).
-    std::unique_ptr<serve::FleetController> fleet;
-    std::unique_ptr<serve::AdmissionController> ctrl;
-    if (setup.fleet) {
-        fleet = std::make_unique<serve::FleetController>(
-            pool, gen, setup.tenants, setup.fleetCfg);
-        ctrl = std::make_unique<serve::AdmissionController>(
-            pool, *fleet, setup.admission);
-    } else {
-        ctrl = std::make_unique<serve::AdmissionController>(
-            pool, serve::buildTenants(pool, gen, setup.tenants),
-            setup.admission);
-    }
-
-    {
-        JournalEvent e;
-        e.kind = EventKind::TraceBegin;
-        e.a = trace.size();
-        jr.append(std::move(e));
-    }
-
-    ctrl->setJournal(&jr);
-    serve::ServeReport report = ctrl->run(trace);
-    ctrl->setJournal(nullptr);
-    pool.setJournal(nullptr);
-    return report;
-}
-
-/** driveRun's streaming twin: same record order, but the run pulls
- *  from `source` through AdmissionController::runStream.
- *  `traceBeginCount` is normally kStreamedTraceCount;
- *  replaySegments passes the recorded announcement through so the
- *  replayed TraceBegin record stays byte-identical. */
-serve::ServeReport
-driveRunStream(const ServeRunSetup &setup,
-               serve::RequestSource &source, Journal &jr,
-               u64 traceBeginCount)
-{
-    serve::ChipPool pool(setup.poolConfig());
-    emitHeaderRecords(setup, pool, jr);
-
-    pool.setJournal(&jr);
-    serve::TrafficGen gen(setup.trafficSeed);
     std::unique_ptr<serve::FleetController> fleet;
     std::unique_ptr<serve::AdmissionController> ctrl;
     if (setup.fleet) {
@@ -399,6 +334,39 @@ parseHeaderRecords(const std::vector<JournalEvent> &ev,
     return need(EventKind::TraceBegin).a;
 }
 
+/**
+ * The request an Arrival record (live recording) or RequestSummary
+ * record (compacted recording: values open with {arrival, start,
+ * mvms, completed} and carry the input words after them) describes;
+ * false for any other record. Throws std::runtime_error, prefixed
+ * with `who`, on a record out of trace order (`index` is the next
+ * expected request) or a malformed summary.
+ */
+bool
+requestOf(const JournalEvent &e, u64 index, serve::ServeRequest &out,
+          const char *who)
+{
+    if (e.kind != EventKind::Arrival &&
+        e.kind != EventKind::RequestSummary)
+        return false;
+    if (e.a != index)
+        throw std::runtime_error(std::string(who) + ": " +
+                                 eventKindName(e.kind) +
+                                 " records out of trace order");
+    out.tenant = static_cast<std::size_t>(e.b);
+    if (e.kind == EventKind::Arrival) {
+        out.arrival = e.cycle;
+        out.input = e.values;
+        return true;
+    }
+    if (e.values.size() < 4)
+        throw std::runtime_error(std::string(who) +
+                                 ": malformed request_summary record");
+    out.arrival = static_cast<WallNs>(e.values[0]);
+    out.input.assign(e.values.begin() + 4, e.values.end());
+    return true;
+}
+
 std::string
 formatEvent(const JournalEvent &e)
 {
@@ -450,7 +418,7 @@ ServeRunSetup::poolConfig() const
             throw std::invalid_argument(
                 "ServeRunSetup: a uniform pool runs at the default "
                 "clock; use uniformPool=false for a custom one");
-        cfg.chip = slotChipConfig(first);
+        cfg.chip = slotSpec(first).chip;
         cfg.numChips = slots.size();
     } else {
         cfg.chips.reserve(slots.size());
@@ -474,7 +442,9 @@ recordServeRun(const ServeRunSetup &setup,
 {
     ServeRunRecord rec;
     rec.trace = trace;
-    rec.report = driveRun(setup, trace, rec.journal);
+    serve::VectorSource source(rec.trace);
+    rec.report =
+        driveRun(setup, source, rec.journal, rec.trace.size());
     return rec;
 }
 
@@ -488,37 +458,10 @@ Replayer::Replayer(Journal recorded) : recorded_(std::move(recorded))
     trace_.clear();
     if (!streamed_)
         trace_.reserve(static_cast<std::size_t>(announced));
-    for (; i < ev.size(); ++i) {
-        const JournalEvent &e = ev[i];
-        if (e.kind == EventKind::Arrival) {
-            if (e.a != trace_.size())
-                throw std::runtime_error(
-                    "Replayer: arrival records out of trace order");
-            serve::ServeRequest req;
-            req.arrival = e.cycle;
-            req.tenant = static_cast<std::size_t>(e.b);
-            req.input = e.values;
+    serve::ServeRequest req;
+    for (; i < ev.size(); ++i)
+        if (requestOf(ev[i], trace_.size(), req, "Replayer"))
             trace_.push_back(std::move(req));
-        } else if (e.kind == EventKind::RequestSummary) {
-            // A compacted journal carries one summary per request
-            // instead of its event group; the summary's values open
-            // with {arrival, start, mvms, completed} and carry the
-            // input words after them, so the trace rebuilds all the
-            // same.
-            if (e.a != trace_.size())
-                throw std::runtime_error(
-                    "Replayer: request_summary records out of trace "
-                    "order");
-            if (e.values.size() < 4)
-                throw std::runtime_error(
-                    "Replayer: malformed request_summary record");
-            serve::ServeRequest req;
-            req.arrival = static_cast<WallNs>(e.values[0]);
-            req.tenant = static_cast<std::size_t>(e.b);
-            req.input.assign(e.values.begin() + 4, e.values.end());
-            trace_.push_back(std::move(req));
-        }
-    }
     if (!streamed_ && trace_.size() != announced)
         throw std::runtime_error(
             "Replayer: trace_begin announces " +
@@ -531,20 +474,15 @@ Replayer::Result
 Replayer::replay() const
 {
     Result result;
-    if (streamed_) {
-        // Re-drive through the streaming path so the replayed
-        // TraceBegin carries the same sentinel and the two event
-        // streams compare record for record. (A *compacted*
-        // recording replays to the full event stream and mismatches
-        // here by construction; replaySegments() is the compacted
-        // comparison.)
-        serve::VectorSource source(trace_);
-        result.report = driveRunStream(setup_, source,
-                                       result.journal,
-                                       kStreamedTraceCount);
-    } else {
-        result.report = driveRun(setup_, trace_, result.journal);
-    }
+    // The replayed TraceBegin repeats the recorded announcement, so
+    // the two event streams compare record for record. (A
+    // *compacted* recording replays to the full event stream and
+    // mismatches here by construction; replaySegments() is the
+    // compacted comparison.)
+    serve::VectorSource source(trace_);
+    result.report =
+        driveRun(setup_, source, result.journal,
+                 streamed_ ? kStreamedTraceCount : trace_.size());
 
     const std::vector<JournalEvent> &want = recorded_.events();
     const std::vector<JournalEvent> &got =
@@ -584,7 +522,7 @@ recordServeRunStream(const ServeRunSetup &setup,
     if (!jr.empty())
         throw std::invalid_argument(
             "recordServeRunStream: journal must be empty");
-    return driveRunStream(setup, source, jr, kStreamedTraceCount);
+    return driveRun(setup, source, jr, kStreamedTraceCount);
 }
 
 namespace
@@ -609,31 +547,8 @@ class SegmentTraceSource : public serve::RequestSource
     {
         JournalEvent e;
         while (reader_.next(e)) {
-            if (e.kind == EventKind::Arrival) {
-                if (e.a != next_)
-                    throw std::runtime_error(
-                        "replaySegments: arrival records out of "
-                        "trace order");
-                out.arrival = e.cycle;
-                out.tenant = static_cast<std::size_t>(e.b);
-                out.input = std::move(e.values);
-                ++next_;
-                return true;
-            }
-            if (e.kind == EventKind::RequestSummary) {
-                if (e.a != next_)
-                    throw std::runtime_error(
-                        "replaySegments: request_summary records "
-                        "out of trace order");
-                if (e.values.size() < 4)
-                    throw std::runtime_error(
-                        "replaySegments: malformed request_summary "
-                        "record");
-                sawSummary_ = true;
-                out.arrival = static_cast<WallNs>(e.values[0]);
-                out.tenant = static_cast<std::size_t>(e.b);
-                out.input.assign(e.values.begin() + 4,
-                                 e.values.end());
+            if (requestOf(e, next_, out, "replaySegments")) {
+                sawSummary_ |= e.kind == EventKind::RequestSummary;
                 ++next_;
                 return true;
             }
@@ -713,7 +628,7 @@ replaySegments(const std::string &dir)
     live.attachSink(&tee, /*retainEvents=*/false);
 
     SegmentReplayResult result;
-    result.report = driveRunStream(setup, source, live, announced);
+    result.report = driveRun(setup, source, live, announced);
     compactor.finish();
 
     // The source drained the reader to end of stream, so its chain

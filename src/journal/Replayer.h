@@ -53,9 +53,8 @@ namespace journal
  * TraceBegin `a` sentinel of a streamed recording: the request count
  * is unknown when the header is written (the source is pull-based),
  * so the record announces "until end of stream" instead. Replay
- * accepts either form; the sentinel additionally tells the replayer
- * to re-drive through AdmissionController::runStream so the replayed
- * stream carries the same sentinel.
+ * accepts either form and re-announces the recorded one, so the
+ * replayed stream carries the same TraceBegin record.
  */
 constexpr u64 kStreamedTraceCount = ~u64{0};
 
@@ -165,7 +164,8 @@ ServeRunRecord recordServeRun(const ServeRunSetup &setup,
  * trafficSeed/horizon trace) and driven through
  * AdmissionController::runStream. Attach a SegmentWriter to `jr`
  * with retention off (Journal::attachSink) and the whole recording
- * path — trace, run, journal — is O(live window), not O(requests).
+ * path — trace, run, journal — is O(requests in flight), not
+ * O(requests).
  * `jr` must be empty. Returns the run's report (streaming stats
  * only; see AdmissionConfig::retainSamples).
  */
@@ -225,8 +225,8 @@ class Replayer
     }
 
     /** True when the recording was streamed (TraceBegin carries
-     *  kStreamedTraceCount); replay() then re-drives through
-     *  runStream so the streams compare record for record. */
+     *  kStreamedTraceCount); replay() re-announces the sentinel so
+     *  the streams compare record for record. */
     bool streamed() const { return streamed_; }
 
     struct Result

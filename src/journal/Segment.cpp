@@ -21,46 +21,6 @@ constexpr char kSegmentMagic[8] = {'D', 'A', 'R', 'T', 'H',
  *  length anyway, but only after the allocation). */
 constexpr u64 kMaxRecordBytes = u64{1} << 30;
 
-void
-appendLeU32(std::vector<unsigned char> &buf, u32 v)
-{
-    for (int shift = 0; shift < 32; shift += 8)
-        buf.push_back(static_cast<unsigned char>((v >> shift) & 0xff));
-}
-
-void
-appendLeU64(std::vector<unsigned char> &buf, u64 v)
-{
-    for (int shift = 0; shift < 64; shift += 8)
-        buf.push_back(static_cast<unsigned char>((v >> shift) & 0xff));
-}
-
-u32
-readLeU32(std::istream &in, const std::string &what)
-{
-    unsigned char bytes[4];
-    if (!in.read(reinterpret_cast<char *>(bytes), sizeof(bytes)))
-        throw std::runtime_error(
-            "journal: truncated while reading " + what);
-    u32 v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= static_cast<u32>(bytes[i]) << (8 * i);
-    return v;
-}
-
-u64
-readLeU64(std::istream &in, const std::string &what)
-{
-    unsigned char bytes[8];
-    if (!in.read(reinterpret_cast<char *>(bytes), sizeof(bytes)))
-        throw std::runtime_error(
-            "journal: truncated while reading " + what);
-    u64 v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<u64>(bytes[i]) << (8 * i);
-    return v;
-}
-
 } // namespace
 
 std::string

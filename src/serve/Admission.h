@@ -64,9 +64,9 @@
  * Each request binds to its tenant's placement *at arrival*, and a
  * replaced placement is released only when its bound requests have
  * drained, so begun work always finishes where it began and no
- * accepted inference is ever lost. The fleet path runs the merged
- * request/lifecycle timeline sequentially (AdmissionConfig::threads
- * is inert there); static runs keep the parallel per-chip drains.
+ * accepted inference is ever lost. Fleet runs step the merged
+ * request/lifecycle timeline in arrival order (AdmissionConfig::threads
+ * is inert there); static runs keep the parallel per-chip batches.
  *
  * Everything is deterministic: one trace, one config, one report —
  * and under Block (where every request completes) the functional
@@ -164,9 +164,10 @@ struct AdmissionConfig
     OverflowPolicy overflow = OverflowPolicy::Block;
     /** Admission unit for inference tenants (see Granularity). */
     Granularity granularity = Granularity::Inference;
-    /** Keep every request's output vector in the report. Vector-mode
-     *  run() only: runStream() folds outputs into the rolling
-     *  checksum and drops them (collectOutputs there throws). */
+    /** Keep every request's output vector in the report
+     *  (ServeReport::outputs, O(requests) memory), for run() and
+     *  runStream() alike: outputs are collected in request order as
+     *  they fold out of the request table. */
     bool collectOutputs = false;
     /**
      * Retain the per-request latency/queueing/service/doneNs sample
@@ -180,14 +181,18 @@ struct AdmissionConfig
      */
     bool retainSamples = false;
     /**
-     * Host worker threads for the per-chip drains (<= 1 runs them
-     * inline). Chips are isolated Runtime instances and the trace
-     * partitions perfectly by chip (each tenant is placed on exactly
-     * one chip), so run() forks one job per chip and merges at the
-     * join deterministically: the report and the journal are
-     * bit-identical for every thread count. Host-only knob — it is
-     * deliberately NOT recorded in the journal's AdmissionSetup
-     * record, so replays of a parallel run stay bit-identical.
+     * Host worker threads for static pools (<= 1 runs every request
+     * inline in arrival order). Chips are isolated Runtime instances
+     * and a static pool's requests partition perfectly by chip (each
+     * tenant is placed on exactly one chip), so with threads > 1
+     * run() and runStream() pull fixed-size batches of requests and
+     * run each batch as one WorkerPool job per chip, merging journal
+     * events at the join in request order: the report and the
+     * journal are bit-identical for every thread count. Fleet runs
+     * (lifecycle state spans chips) always run in arrival order and
+     * ignore it. Host-only knob — it is deliberately NOT recorded in
+     * the journal's AdmissionSetup record, so replays of a parallel
+     * run stay bit-identical.
      */
     std::size_t threads = 1;
 };
@@ -219,15 +224,15 @@ std::vector<Tenant> buildTenants(ChipPool &pool, const TrafficGen &gen,
 /**
  * Serving front end: admission, backpressure, and QoS.
  *
- * The tenant table and config are GUARDED_BY(mu_); run() holds the
- * guard for the whole trace (its windows, waiting rooms, and fair
- * tags are stack-local, so the admission front end is one critical
- * section per run). With AdmissionConfig::threads > 1 the per-chip
- * work — admission decisions *and* drains, which partition perfectly
- * by chip — runs on WorkerPool jobs under that critical section;
- * journal events buffer per chip and merge in trace order at the
- * join, so every thread count produces one bit-identical report and
- * journal.
+ * The tenant table and config are GUARDED_BY(mu_); a run holds the
+ * guard for its whole source (its windows, waiting rooms, and fair
+ * tags are run-local, so the admission front end is one critical
+ * section per run). With AdmissionConfig::threads > 1 on a static
+ * pool the per-chip work — admission decisions *and* drains, which
+ * partition perfectly by chip — runs on WorkerPool jobs under that
+ * critical section; journal events buffer per chip and merge in
+ * request order at the join, so every thread count produces one
+ * bit-identical report and journal.
  */
 class AdmissionController
 {
@@ -265,30 +270,33 @@ class AdmissionController
     }
 
     /**
-     * Run one open-loop trace to completion and report. The trace
-     * must be sorted by wall-clock arrival (TrafficGen::trace emits
-     * it sorted); requests of unknown tenants, or of a fleet tenant
-     * before its placement exists, are fatal.
+     * Run one open-loop trace to completion and report: exactly
+     * runStream() over a VectorSource of `trace` (which is not
+     * copied), so both entry points produce the same report and
+     * journal for the same requests.
      */
     ServeReport run(const std::vector<ServeRequest> &trace)
         EXCLUDES(mu_);
 
     /**
-     * Run a pull-based request stream to completion at flat memory:
-     * requests are consumed one at a time from `source` (sorted by
-     * arrival, like run()'s trace), held only while in flight, and
-     * their outputs folded into ServeReport::outputChecksum in
-     * arrival order as they resolve — the checksum equals the one a
-     * materialized run() of the same stream reports. Streaming runs
-     * are sequential (AdmissionConfig::threads is inert, as in fleet
-     * mode) and journal events append directly in the same merged
-     * order run() produces; when the live window exceeds an internal
-     * bound, completed-but-unobserved requests are drained eagerly
-     * (this can only reorder journal records relative to run() on
-     * runs of more than 65536 concurrently-live requests, and the
-     * reordering is itself deterministic — Replayer::replaySegments
-     * replays through this same path). collectOutputs is
-     * incompatible with streaming and throws std::invalid_argument.
+     * Run a pull-based request stream to completion. Requests are
+     * pulled from `source` in arrival order into a request table,
+     * held only while in flight, and folded out of the table front in
+     * request order — into ServeReport::outputChecksum, and into
+     * ServeReport::outputs under collectOutputs. Memory is the run's
+     * concurrency, not its length: when the table outgrows an
+     * internal bound, admitted units at its front are resolved
+     * early, which can only reorder journal records — identically
+     * for every source and thread count — on runs with more than
+     * 65536 concurrently-live requests.
+     *
+     * Every request is checked as it is pulled: one naming an unknown
+     * tenant, arriving before its predecessor, or (fleet runs)
+     * belonging to a tenant whose arrival moment has not come yet
+     * throws std::invalid_argument naming the request index. The
+     * throw abandons the run midway — chip schedulers, placements,
+     * and the attached journal hold partial state — so the pool and
+     * this controller must not be reused afterwards.
      */
     ServeReport runStream(RequestSource &source) EXCLUDES(mu_);
 
@@ -303,11 +311,6 @@ class AdmissionController
     void setJournal(journal::Journal *journal) EXCLUDES(mu_);
 
   private:
-    /** Shared engine behind run() and runStream(): exactly one of
-     *  `trace` / `source` is non-null. */
-    ServeReport runImpl(const std::vector<ServeRequest> *trace,
-                        RequestSource *source) REQUIRES(mu_);
-
     /** Guards the tenant table and config
      *  (common/ThreadAnnotations.h; a real mutex since the per-chip
      *  worker threads landed). */

@@ -162,14 +162,17 @@ class RequestSource
     virtual bool next(ServeRequest &out) = 0;
 };
 
-/** RequestSource over an already-materialized (sorted) trace. */
+/** RequestSource over an already-materialized (sorted) trace. The
+ *  trace is not copied: it must outlive the source. */
 class VectorSource : public RequestSource
 {
   public:
-    explicit VectorSource(std::vector<ServeRequest> trace)
-        : trace_(std::move(trace))
+    explicit VectorSource(const std::vector<ServeRequest> &trace)
+        : trace_(trace)
     {
     }
+    /** A temporary trace would dangle. */
+    explicit VectorSource(std::vector<ServeRequest> &&) = delete;
 
     bool
     next(ServeRequest &out) override
@@ -181,7 +184,7 @@ class VectorSource : public RequestSource
     }
 
   private:
-    std::vector<ServeRequest> trace_;
+    const std::vector<ServeRequest> &trace_;
     std::size_t pos_ = 0;
 };
 

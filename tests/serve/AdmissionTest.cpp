@@ -3,11 +3,14 @@
  * Tests for QoS-aware admission: backpressure (block/reject) against
  * the bounded per-chip submission window, FIFO ordering, weighted-
  * fair convergence and round-robin starvation-freedom under
- * saturation, and bit-identity of a pooled run across pool sizes.
+ * saturation, bit-identity of a pooled run across pool sizes, and
+ * typed errors for malformed requests.
  */
 
 #include <cstddef>
+#include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,6 +18,7 @@
 #include "serve/Admission.h"
 #include "serve/ChipConfig.h"
 #include "serve/ChipPool.h"
+#include "serve/FleetController.h"
 #include "serve/TrafficGen.h"
 
 namespace darth
@@ -367,6 +371,64 @@ TEST(Admission, InvalidConfigsThrow)
                  std::invalid_argument);
     cfg.chipQueueDepth = {1};
     EXPECT_NO_THROW(AdmissionController(pool, tenants, cfg));
+}
+
+TEST(Admission, InvalidRequestsThrowWhenPulled)
+{
+    // Request 1 is bad in each trace: it names a tenant that does not
+    // exist, arrives before its predecessor, or belongs to a fleet
+    // tenant whose arrival moment (400 ns) has not come yet. Each
+    // throws a typed error naming the request from both entry
+    // points. A throw abandons the run, so every attempt gets a fresh
+    // pool and controller.
+    struct Case
+    {
+        const char *what;
+        std::vector<ServeRequest> trace;
+        bool fleet;
+    };
+    const std::vector<Case> cases = {
+        {"unknown tenant", {microRequest(0, 0), microRequest(5, 2)},
+         false},
+        {"out of order", {microRequest(10, 0), microRequest(5, 1)},
+         false},
+        {"tenant not arrived", {microRequest(0, 0), microRequest(100, 1)},
+         true},
+    };
+    for (const Case &c : cases) {
+        for (const bool stream : {false, true}) {
+            std::vector<TenantSpec> specs = microSpecs({1.0, 1.0});
+            if (c.fleet)
+                specs[1].arriveNs = 400;
+            TrafficGen gen(49);
+            ChipPool pool(poolConfig(1, 2));
+            std::unique_ptr<FleetController> fleet;
+            std::unique_ptr<AdmissionController> ac;
+            if (c.fleet) {
+                fleet = std::make_unique<FleetController>(
+                    pool, gen, specs, FleetConfig{});
+                ac = std::make_unique<AdmissionController>(
+                    pool, *fleet, AdmissionConfig{});
+            } else {
+                ac = std::make_unique<AdmissionController>(
+                    pool, buildTenants(pool, gen, specs),
+                    AdmissionConfig{});
+            }
+            try {
+                if (stream) {
+                    VectorSource source(c.trace);
+                    ac->runStream(source);
+                } else {
+                    ac->run(c.trace);
+                }
+                ADD_FAILURE() << c.what << ": no throw";
+            } catch (const std::invalid_argument &e) {
+                EXPECT_NE(std::string(e.what()).find("request 1 "),
+                          std::string::npos)
+                    << c.what << ": " << e.what();
+            }
+        }
+    }
 }
 
 TEST(Admission, MixedClockPoolsAreAccepted)

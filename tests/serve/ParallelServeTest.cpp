@@ -194,6 +194,51 @@ TEST(ParallelServe, JournalBytesIdenticalAcrossThreadCounts)
     EXPECT_EQ(serial_bytes.str(), parallel_bytes.str());
 }
 
+TEST(ParallelServe, StreamedBatchesMatchArrivalOrder)
+{
+    // A static-pool stream longer than one internal batch (4096
+    // requests): at 1 thread every request runs in arrival order, at
+    // 4 threads in per-chip batches on worker threads. The binary
+    // journals and the reports must be identical, staged inferences
+    // included.
+    journal::ServeRunSetup setup;
+    setup.uniformPool = false;
+    setup.slots.assign(4, {journal::SlotKind::Uniform, 8, 1.0});
+    setup.placement = PlacementPolicy::LeastLoaded;
+    setup.trafficSeed = 977;
+    setup.horizon = 4000000;
+    setup.admission.queueDepth = 2;
+    setup.admission.qos = QosPolicy::WeightedFair;
+    setup.admission.granularity = Granularity::Stage;
+    setup.admission.collectOutputs = true;
+    setup.admission.retainSamples = true;
+    setup.tenants = mixedSpecs();
+    for (TenantSpec &spec : setup.tenants)
+        spec.ratePerKns = spec.kind == WorkloadKind::Micro ? 1.0 : 0.005;
+    constexpr std::size_t kRequests = 9000;
+
+    auto record = [&](std::size_t threads, std::string &bytes) {
+        setup.admission.threads = threads;
+        TraceStream stream(setup.trafficSeed, setup.tenants,
+                           setup.horizon);
+        CappedSource source(stream, kRequests);
+        journal::Journal jr;
+        const ServeReport report =
+            journal::recordServeRunStream(setup, source, jr);
+        std::stringstream out;
+        jr.writeBinary(out);
+        bytes = out.str();
+        return report;
+    };
+    std::string one_bytes, four_bytes;
+    const ServeReport one = record(1, one_bytes);
+    const ServeReport four = record(4, four_bytes);
+    ASSERT_EQ(one.completed, kRequests);
+    EXPECT_GT(one.tenants.back().completed, 2u) << "no staged inferences";
+    expectReportsIdentical(one, four);
+    EXPECT_EQ(one_bytes, four_bytes);
+}
+
 } // namespace
 } // namespace serve
 } // namespace darth

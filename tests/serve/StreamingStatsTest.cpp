@@ -11,12 +11,12 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/Fnv.h"
 #include "common/Stats.h"
 #include "journal/Replayer.h"
 #include "serve/Admission.h"
@@ -203,18 +203,46 @@ TEST(StreamingStats, RetainSamplesOffLeavesVectorsEmpty)
     }
 }
 
-TEST(StreamingStats, RunStreamRejectsCollectOutputs)
+TEST(StreamingStats, RunStreamCollectsTheOutputsRunDoes)
 {
-    const journal::ServeRunSetup setup = drawSetup(0);
-    TrafficGen gen(setup.trafficSeed);
-    ChipPool pool(setup.poolConfig());
-    auto tenants = buildTenants(pool, gen, setup.tenants);
-    AdmissionConfig cfg = setup.admission;
-    cfg.collectOutputs = true;
-    AdmissionController ac(pool, tenants, cfg);
-    TraceStream source(setup.trafficSeed, setup.tenants,
-                       setup.horizon);
-    EXPECT_THROW(ac.runStream(source), std::invalid_argument);
+    // Under collectOutputs a streamed run collects exactly the
+    // outputs run() does — request order, empty vectors for
+    // rejections — whether it streams the materialized trace or the
+    // lazy generator; and the outputs fold to the report checksum.
+    for (u64 seed = 0; seed < 2; ++seed) {
+        journal::ServeRunSetup setup = drawSetup(seed);
+        setup.admission.collectOutputs = true;
+        const std::vector<ServeRequest> trace =
+            TrafficGen(setup.trafficSeed)
+                .trace(setup.tenants, setup.horizon);
+        auto serve = [&](RequestSource *source) {
+            TrafficGen gen(setup.trafficSeed);
+            ChipPool pool(setup.poolConfig());
+            AdmissionController ac(
+                pool, buildTenants(pool, gen, setup.tenants),
+                setup.admission);
+            return source != nullptr ? ac.runStream(*source)
+                                     : ac.run(trace);
+        };
+        const ServeReport vec = serve(nullptr);
+        VectorSource vector_source(trace);
+        const ServeReport from_vector = serve(&vector_source);
+        TraceStream lazy(setup.trafficSeed, setup.tenants,
+                         setup.horizon);
+        const ServeReport from_stream = serve(&lazy);
+
+        ASSERT_EQ(vec.outputs.size(), trace.size()) << "seed " << seed;
+        EXPECT_EQ(from_vector.outputs, vec.outputs) << "seed " << seed;
+        EXPECT_EQ(from_stream.outputs, vec.outputs) << "seed " << seed;
+        u64 hash = kFnvOffsetBasis;
+        std::size_t empty = 0;
+        for (const std::vector<i64> &values : vec.outputs) {
+            hash = fnv1aWords(values, hash);
+            empty += values.empty() ? 1 : 0;
+        }
+        EXPECT_EQ(hash, vec.outputChecksum) << "seed " << seed;
+        EXPECT_EQ(empty, vec.rejected) << "seed " << seed;
+    }
 }
 
 TEST(StreamingStats, TraceStreamIsTheLazyTrace)

@@ -33,17 +33,27 @@ Ace::setMatrix(const MatrixI &m, int element_bits, int bits_per_cell)
 {
     if (m.rows() == 0 || m.cols() == 0)
         darth_fatal("Ace::setMatrix: empty matrix");
-    matrix_ = m;
-    elementBits_ = element_bits;
-    bitsPerCell_ = bits_per_cell;
-    slices_ = numSlices(element_bits, bits_per_cell);
-    rowsPerTile_ = cfg_.arrayRows / 2;   // differential pairs
-    colsPerTile_ = cfg_.arrayCols;
-    rowTiles_ = (m.rows() + rowsPerTile_ - 1) / rowsPerTile_;
-    colTiles_ = (m.cols() + colsPerTile_ - 1) / colsPerTile_;
+    // The device and array limits a Crossbar enforces, checked here so
+    // both functional paths accept the same configurations.
+    if (bits_per_cell < 1 || bits_per_cell > 8)
+        darth_fatal("Ace::setMatrix: bits per cell must be in [1, 8], "
+                    "got ", bits_per_cell);
+    if (cfg_.arrayRows == 0 || cfg_.arrayRows % 2 != 0 ||
+        cfg_.arrayCols == 0)
+        darth_fatal("Ace::setMatrix: arrays need a non-zero even number "
+                    "of wordlines (differential pairs) and at least one "
+                    "bitline");
 
+    // Validate into locals and commit only once nothing can fail, so
+    // a rejected matrix leaves the ACE as it was.
+    const int slices = numSlices(element_bits, bits_per_cell);
+    const std::size_t rows_per_tile = cfg_.arrayRows / 2;
+    const std::size_t row_tiles =
+        (m.rows() + rows_per_tile - 1) / rows_per_tile;
+    const std::size_t col_tiles =
+        (m.cols() + cfg_.arrayCols - 1) / cfg_.arrayCols;
     const std::size_t needed =
-        static_cast<std::size_t>(slices_) * rowTiles_ * colTiles_;
+        static_cast<std::size_t>(slices) * row_tiles * col_tiles;
     if (needed > cfg_.numArrays)
         darth_fatal("Ace::setMatrix: matrix needs ", needed,
                     " arrays but the ACE has ", cfg_.numArrays,
@@ -57,6 +67,18 @@ Ace::setMatrix(const MatrixI &m, int element_bits, int bits_per_cell)
                     "-bit cell (code ", max_cell, ") exceeds the ",
                     cfg_.adc.bits, "-bit ADC range; no row grouping "
                     "can compensate");
+    const auto sliced = sliceSignedMatrix(m, element_bits, bits_per_cell);
+
+    matrix_ = m;
+    elementBits_ = element_bits;
+    bitsPerCell_ = bits_per_cell;
+    slices_ = slices;
+    rowsPerTile_ = rows_per_tile;
+    colsPerTile_ = cfg_.arrayCols;
+    rowTiles_ = row_tiles;
+    colTiles_ = col_tiles;
+    // Each group's |column sum| stays within rowsPerGroup * max_cell
+    // <= adc_max, so no conversion ever saturates.
     rowsPerGroup_ = std::max<std::size_t>(
         1, static_cast<std::size_t>(adc_max / std::max<i64>(max_cell, 1)));
     rowsPerGroup_ = std::min(rowsPerGroup_, rowsPerTile_);
@@ -82,44 +104,63 @@ Ace::setMatrix(const MatrixI &m, int element_bits, int bits_per_cell)
         }
     }
 
-    reprogramAll();
+    reprogramAll(sliced);
 }
 
 void
-Ace::reprogramAll()
+Ace::reprogramAll(const std::vector<MatrixI> &slices)
 {
     xbars_.clear();
-    const std::size_t needed =
-        static_cast<std::size_t>(slices_) * rowTiles_ * colTiles_;
-    xbars_.reserve(needed);
-
-    const auto slices = sliceSignedMatrix(matrix_, elementBits_,
-                                          bitsPerCell_);
-    u64 cells_written = 0;
-    for (int s = 0; s < slices_; ++s) {
+    tileTables_.clear();
+    const std::size_t cols = matrix_.cols();
+    if (cfg_.noise.ideal()) {
+        const std::size_t lanes = static_cast<std::size_t>(slices_) * cols;
+        tileTables_.resize(rowTiles_);
         for (std::size_t rt = 0; rt < rowTiles_; ++rt) {
-            for (std::size_t ct = 0; ct < colTiles_; ++ct) {
-                const std::size_t r0 = rt * rowsPerTile_;
-                const std::size_t c0 = ct * colsPerTile_;
-                const std::size_t nr =
-                    std::min(rowsPerTile_, matrix_.rows() - r0);
-                const std::size_t nc =
-                    std::min(colsPerTile_, matrix_.cols() - c0);
-                MatrixI sub(nr, nc);
-                for (std::size_t r = 0; r < nr; ++r)
-                    for (std::size_t c = 0; c < nc; ++c)
-                        sub(r, c) = slices[static_cast<std::size_t>(s)](
-                            r0 + r, c0 + c);
-                auto xb = std::make_unique<Crossbar>(
-                    cfg_.arrayRows, cfg_.arrayCols, bitsPerCell_,
-                    cfg_.noise,
-                    seed_ + xbars_.size() * 7919 + 13);
-                xb->programSigned(sub);
-                cells_written += 2 * nr * nc;
-                xbars_.push_back(std::move(xb));
+            const std::size_t r0 = rt * rowsPerTile_;
+            const std::size_t nr =
+                std::min(rowsPerTile_, matrix_.rows() - r0);
+            std::vector<i32> &table = tileTables_[rt];
+            table.resize(nr * lanes);
+            for (std::size_t r = 0; r < nr; ++r)
+                for (int s = 0; s < slices_; ++s)
+                    for (std::size_t c = 0; c < cols; ++c)
+                        table[r * lanes +
+                              static_cast<std::size_t>(s) * cols + c] =
+                            static_cast<i32>(
+                                slices[static_cast<std::size_t>(s)](
+                                    r0 + r, c));
+        }
+    } else {
+        xbars_.reserve(arraysUsed());
+        for (int s = 0; s < slices_; ++s) {
+            for (std::size_t rt = 0; rt < rowTiles_; ++rt) {
+                for (std::size_t ct = 0; ct < colTiles_; ++ct) {
+                    const std::size_t r0 = rt * rowsPerTile_;
+                    const std::size_t c0 = ct * colsPerTile_;
+                    const std::size_t nr =
+                        std::min(rowsPerTile_, matrix_.rows() - r0);
+                    const std::size_t nc =
+                        std::min(colsPerTile_, cols - c0);
+                    MatrixI sub(nr, nc);
+                    for (std::size_t r = 0; r < nr; ++r)
+                        for (std::size_t c = 0; c < nc; ++c)
+                            sub(r, c) = slices[static_cast<std::size_t>(
+                                s)](r0 + r, c0 + c);
+                    auto xb = std::make_unique<Crossbar>(
+                        cfg_.arrayRows, cfg_.arrayCols, bitsPerCell_,
+                        cfg_.noise,
+                        seed_ + xbars_.size() * 7919 + 13);
+                    xb->programSigned(sub);
+                    xbars_.push_back(std::move(xb));
+                }
             }
         }
     }
+    // Both devices of every differential pair of every slice are
+    // written, whichever path holds the values.
+    const u64 cells_written =
+        2 * static_cast<u64>(slices_) * matrix_.rows() * cols;
     if (tally_ != nullptr)
         tally_->add("ace.program",
                     cells_written * cfg_.cellProgramCycles,
@@ -136,7 +177,7 @@ Ace::updateRow(std::size_t row, const std::vector<i64> &values)
     matrix_.setRow(row, values);
     // Analog updates rewrite the affected differential pairs in every
     // slice; we re-program the owning row tile's arrays.
-    reprogramAll();
+    reprogramAll(sliceSignedMatrix(matrix_, elementBits_, bitsPerCell_));
 }
 
 void
@@ -145,7 +186,54 @@ Ace::updateCol(std::size_t col, const std::vector<i64> &values)
     if (!hasMatrix())
         darth_fatal("Ace::updateCol: no matrix programmed");
     matrix_.setCol(col, values);
-    reprogramAll();
+    reprogramAll(sliceSignedMatrix(matrix_, elementBits_, bitsPerCell_));
+}
+
+void
+Ace::sumPlane(const std::vector<int> &plane_bits)
+{
+    const std::size_t lanes =
+        static_cast<std::size_t>(slices_) * matrix_.cols();
+    laneSums_.assign(rowTiles_ * rowGroups_ * lanes, 0);
+    const i32 lo = static_cast<i32>(adc_.minCode());
+    const i32 hi = static_cast<i32>(adc_.maxCode());
+    for (std::size_t rt = 0; rt < rowTiles_; ++rt) {
+        const std::size_t r0 = rt * rowsPerTile_;
+        const std::size_t nr = std::min(rowsPerTile_, matrix_.rows() - r0);
+        const i32 *const table = tileTables_[rt].data();
+        for (std::size_t g = 0; g < rowGroups_; ++g) {
+            i32 *const __restrict sum =
+                &laneSums_[(rt * rowGroups_ + g) * lanes];
+            const std::size_t end = std::min(nr, (g + 1) * rowsPerGroup_);
+            for (std::size_t r = g * rowsPerGroup_; r < end; ++r) {
+                if (plane_bits[r0 + r] == 0)
+                    continue;
+                const i32 *const __restrict row = table + r * lanes;
+                for (std::size_t i = 0; i < lanes; ++i)
+                    sum[i] += row[i];
+            }
+            for (std::size_t i = 0; i < lanes; ++i)
+                sum[i] = std::clamp(sum[i], lo, hi);
+        }
+    }
+}
+
+void
+Ace::convertGroup(const std::vector<int> &plane_bits, int s,
+                  std::size_t rt, std::size_t gr0, std::size_t gnr,
+                  std::vector<i64> &values)
+{
+    const std::size_t r0 = rt * rowsPerTile_;
+    for (std::size_t ct = 0; ct < colTiles_; ++ct) {
+        Crossbar &xb = xbar(s, rt, ct);
+        bits_.assign(xb.logicalRows(), 0);
+        for (std::size_t r = 0; r < gnr; ++r)
+            bits_[gr0 + r] = plane_bits[r0 + gr0 + r];
+        xb.mvmBitInputInto(bits_, vScratch_, analog_);
+        const std::size_t c0 = ct * colsPerTile_;
+        for (std::size_t c = 0; c < analog_.size(); ++c)
+            values[c0 + c] = adc_.convert(analog_[c]);
+    }
 }
 
 std::vector<PartialProduct>
@@ -157,6 +245,8 @@ Ace::execMvm(const std::vector<i64> &x, int input_bits, Cycle start)
         darth_fatal("Ace::execMvm: input length ", x.size(),
                     " != matrix rows ", matrix_.rows());
 
+    const bool exact = cfg_.noise.ideal();
+    const std::size_t cols = matrix_.cols();
     const auto planes = sliceInput(x, input_bits);
     std::vector<PartialProduct> stream;
     stream.reserve(planes.size() * static_cast<std::size_t>(slices_) *
@@ -164,6 +254,11 @@ Ace::execMvm(const std::vector<i64> &x, int input_bits, Cycle start)
 
     Cycle array_free = start;
     Cycle adc_free = start;
+    // Every conversion digitizes all columns at one operating point.
+    const Cycle conv_cycles =
+        adc_.conversionLatency(cols, cfg_.numAdcs, rampSweepStates_);
+    const double conv_energy =
+        adc_.conversionEnergy(cols, cfg_.numAdcs, rampSweepStates_);
     // Resolve the tally accumulators once per MVM; the per-plane and
     // per-group charges below then skip the string-keyed map lookup.
     // Safe within one call: nothing clears the tally mid-MVM.
@@ -177,11 +272,6 @@ Ace::execMvm(const std::vector<i64> &x, int input_bits, Cycle start)
         t_sh = &tally_->entry("ace.sh");
         t_adc = &tally_->entry("ace.adc");
     }
-    // Scratch buffers reused across every tile of every plane: the
-    // per-solve allocations dominated the analog hot path.
-    std::vector<int> bits;
-    std::vector<double> v_scratch;
-    std::vector<double> analog;
     for (const auto &plane : planes) {
         // Drive the wordlines with this bit plane; all arrays of all
         // slices sample concurrently.
@@ -203,10 +293,12 @@ Ace::execMvm(const std::vector<i64> &x, int input_bits, Cycle start)
             t_array->cycles += cfg_.settleCycles;
             t_array->energy += cfg_.arrayActivationEnergyPJ * arrays;
             t_sh->events += 1;
-            t_sh->energy += static_cast<double>(matrix_.cols()) *
+            t_sh->energy += static_cast<double>(cols) *
                             cfg_.sampleHoldEnergyPJ *
                             static_cast<double>(slices_ * rowTiles_);
         }
+        if (exact)
+            sumPlane(plane.bits);
 
         for (int s = 0; s < slices_; ++s) {
             for (std::size_t rt = 0; rt < rowTiles_; ++rt) {
@@ -217,42 +309,36 @@ Ace::execMvm(const std::vector<i64> &x, int input_bits, Cycle start)
                     const std::size_t gr0 = g * rowsPerGroup_;
                     if (gr0 >= nr)
                         continue;
-                    const std::size_t gnr =
-                        std::min(rowsPerGroup_, nr - gr0);
 
                     PartialProduct pp;
                     pp.shift = plane.bit +
                                s * bitsPerCell_;
                     pp.negate = plane.negate;
-                    pp.values.assign(matrix_.cols(), 0);
-
-                    for (std::size_t ct = 0; ct < colTiles_; ++ct) {
-                        Crossbar &xb = xbar(s, rt, ct);
-                        bits.assign(xb.logicalRows(), 0);
-                        for (std::size_t r = 0; r < gnr; ++r)
-                            bits[gr0 + r] = plane.bits[r0 + gr0 + r];
-                        xb.mvmBitInputInto(bits, v_scratch, analog);
-                        const std::size_t c0 = ct * colsPerTile_;
-                        for (std::size_t c = 0; c < analog.size(); ++c)
-                            pp.values[c0 + c] = adc_.convert(analog[c]);
+                    if (exact) {
+                        const std::size_t lane =
+                            (rt * rowGroups_ + g) *
+                                static_cast<std::size_t>(slices_) +
+                            static_cast<std::size_t>(s);
+                        const i32 *const sums =
+                            laneSums_.data() + lane * cols;
+                        pp.values.assign(sums, sums + cols);
+                    } else {
+                        pp.values.assign(cols, 0);
+                        convertGroup(plane.bits, s, rt, gr0,
+                                     std::min(rowsPerGroup_, nr - gr0),
+                                     pp.values);
                     }
 
                     // Conversions serialize on the shared ADCs.
                     const Cycle conv_start = std::max(adc_free, sampled);
-                    const Cycle conv_done =
-                        conv_start +
-                        adc_.conversionLatency(matrix_.cols(),
-                                               cfg_.numAdcs,
-                                               rampSweepStates_);
+                    const Cycle conv_done = conv_start + conv_cycles;
                     adc_free = conv_done;
                     pp.convStart = conv_start;
                     pp.readyAt = conv_done;
                     if (tally_ != nullptr) {
                         t_adc->events += 1;
                         t_adc->cycles += conv_done - conv_start;
-                        t_adc->energy += adc_.conversionEnergy(
-                            matrix_.cols(), cfg_.numAdcs,
-                            rampSweepStates_);
+                        t_adc->energy += conv_energy;
                     }
                     stream.push_back(std::move(pp));
                 }

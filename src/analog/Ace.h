@@ -15,8 +15,26 @@
  * When the per-bitline accumulation range exceeds the ADC range, the
  * ACE automatically splits wordline activation into row groups (the
  * standard precision-versus-throughput trade: more groups, more
- * conversions). Tests assert integer exactness of the full pipeline in
- * the ideal-noise configuration.
+ * conversions).
+ *
+ * Two functional paths produce the ADC codes; both emit the same
+ * partial-product stream and the same CostTally charges:
+ *
+ *  - Exact integer path, under the ideal noise model
+ *    (NoiseModel::ideal()). Each code is the integer sum of the active
+ *    rows' slice values in one row group. The float solve recovers
+ *    that same integer: ideal conductances are gMin + step*code, the
+ *    G_min offsets of a differential pair cancel, and the solve's
+ *    rounding error stays far below half an LSB for every shape a
+ *    Crossbar accepts, so nearbyint() lands on the integer. Row
+ *    grouping keeps |sum| <= rowsPerGroup*max_cell <= maxCode(), so
+ *    the ADC clamp never fires. The ACE therefore keeps one dense i32
+ *    table per row tile, laid out [row][slice][col], builds no
+ *    Crossbar, and adds table rows into i32 lanes per input plane.
+ *  - Crossbar path, for every other noise model. Programming noise,
+ *    stuck-at cells, drift and wire resistance move conductances even
+ *    when reads are deterministic, so each code comes from a
+ *    Crossbar solve and Adc::convert().
  */
 
 #ifndef DARTH_ANALOG_ACE_H
@@ -121,9 +139,13 @@ class Ace
     /** The logically stored matrix. */
     const MatrixI &matrix() const { return matrix_; }
 
-    bool hasMatrix() const { return !xbars_.empty(); }
+    bool hasMatrix() const { return slices_ > 0; }
 
-    std::size_t arraysUsed() const { return xbars_.size(); }
+    std::size_t
+    arraysUsed() const
+    {
+        return static_cast<std::size_t>(slices_) * rowTiles_ * colTiles_;
+    }
     int slices() const { return slices_; }
     std::size_t rowTiles() const { return rowTiles_; }
     std::size_t colTiles() const { return colTiles_; }
@@ -159,7 +181,23 @@ class Ace
     /** Crossbar holding (slice s, row tile rt, col tile ct). */
     Crossbar &xbar(int s, std::size_t rt, std::size_t ct);
 
-    void reprogramAll();
+    /**
+     * Program the integer tables (ideal noise) or the crossbars
+     * (otherwise) from sliceSignedMatrix(matrix_) output.
+     */
+    void reprogramAll(const std::vector<MatrixI> &slices);
+
+    /**
+     * Exact path: fill laneSums_ with one input plane's column sums,
+     * clamped to the ADC code range, for every (row tile, row group,
+     * slice).
+     */
+    void sumPlane(const std::vector<int> &plane_bits);
+
+    /** Crossbar path: one (slice, row tile, row group) partial. */
+    void convertGroup(const std::vector<int> &plane_bits, int s,
+                      std::size_t rt, std::size_t gr0, std::size_t gnr,
+                      std::vector<i64> &values);
 
     AceConfig cfg_;
     CostTally *tally_;
@@ -177,7 +215,16 @@ class Ace
     std::size_t rowsPerGroup_ = 0;
     /** Effective ramp sweep length (see rampSweepStates()). */
     Cycle rampSweepStates_ = 0;
+    /** Exact path: per row tile, rows x slices x matrix cols values. */
+    std::vector<std::vector<i32>> tileTables_;
+    /** Exact path: per (row tile, row group), slices x cols codes. */
+    std::vector<i32> laneSums_;
+    /** Crossbar path: one array per (slice, row tile, col tile). */
     std::vector<std::unique_ptr<Crossbar>> xbars_;
+    /** Crossbar path scratch, reused across every solve. */
+    std::vector<int> bits_;
+    std::vector<double> vScratch_;
+    std::vector<double> analog_;
     Adc adc_;
 };
 

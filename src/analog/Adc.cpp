@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "common/Logging.h"
 
@@ -14,6 +16,16 @@ const char *
 adcKindName(AdcKind kind)
 {
     return kind == AdcKind::Sar ? "SAR" : "Ramp";
+}
+
+Adc::Adc(const AdcParams &params) : params_(params)
+{
+    // maxCode()/minCode() shift by bits - 1, and the ACE's exact path
+    // holds codes in i32 lanes, so 32 bits is the widest code.
+    if (params_.bits < 1 || params_.bits > 32)
+        throw std::invalid_argument(
+            "Adc: bits must be in [1, 32], got " +
+            std::to_string(params_.bits));
 }
 
 Cycle

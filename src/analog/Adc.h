@@ -57,7 +57,8 @@ struct AdcParams
 class Adc
 {
   public:
-    explicit Adc(const AdcParams &params) : params_(params) {}
+    /** @throws std::invalid_argument unless params.bits is in [1, 32]. */
+    explicit Adc(const AdcParams &params);
 
     const AdcParams &params() const { return params_; }
 

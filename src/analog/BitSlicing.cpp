@@ -75,24 +75,23 @@ sliceInput(const std::vector<i64> &x, int input_bits)
         return false;
     }();
 
-    std::vector<InputBitPlane> planes;
-    planes.reserve(static_cast<std::size_t>(input_bits));
+    for (i64 v : x)
+        if (v < lo || (any_negative ? v > hi
+                                    : v >= (i64{1} << input_bits)))
+            darth_fatal("sliceInput: ", v, " outside ", input_bits,
+                        "-bit range");
+
+    // Every value fits, so bit `bit` of its two's complement code is
+    // bit `bit` of the value itself.
+    std::vector<InputBitPlane> planes(static_cast<std::size_t>(input_bits));
     for (int bit = 0; bit < input_bits; ++bit) {
-        InputBitPlane plane;
+        InputBitPlane &plane = planes[static_cast<std::size_t>(bit)];
         plane.bit = bit;
         plane.negate = any_negative && bit == input_bits - 1;
-        plane.bits.reserve(x.size());
-        for (i64 v : x) {
-            if (v < lo || (any_negative ? v > hi
-                                        : v >= (i64{1} << input_bits)))
-                darth_fatal("sliceInput: ", v, " outside ", input_bits,
-                            "-bit range");
-            const u64 code = static_cast<u64>(v) &
-                             ((u64{1} << input_bits) - 1);
-            plane.bits.push_back(
-                static_cast<int>((code >> bit) & 1ULL));
-        }
-        planes.push_back(std::move(plane));
+        plane.bits.resize(x.size());
+        for (std::size_t i = 0; i < x.size(); ++i)
+            plane.bits[i] =
+                static_cast<int>((static_cast<u64>(x[i]) >> bit) & 1ULL);
     }
     return planes;
 }

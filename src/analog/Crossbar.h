@@ -17,6 +17,15 @@
  * accumulated between the device and the sense amplifier — errors grow
  * with total bitline current, which is exactly the behaviour the
  * parasitic compensation scheme (§4.3) exploits.
+ *
+ * Under the ideal noise model every conductance is gMin + step*code,
+ * so a bit-input MVM returns the integer sum_k x_k * (w+ - w-) plus
+ * float rounding error far below half an LSB for any shape this class
+ * accepts; Adc::convert() then recovers that integer exactly. The ACE
+ * relies on this to skip crossbars entirely under ideal noise (see
+ * Ace.h), so this class is the functional model for every non-ideal
+ * configuration and the reference the ACE's integer path is tested
+ * against.
  */
 
 #ifndef DARTH_ANALOG_CROSSBAR_H

@@ -135,6 +135,13 @@ Hct::execMvm(const std::vector<i64> &x, int input_bits, Cycle start)
     const int acc_bits = accumulatorBits(input_bits);
     const u64 mask = acc_bits >= 64 ? ~0ULL
                                     : ((u64{1} << acc_bits) - 1);
+    // Resolve the network accumulator once per MVM, as the ACE does:
+    // the per-partial-product charge below then skips the string
+    // construction and map walk. Nothing clears the tally mid-MVM.
+    CostEntry *t_network =
+        tally_ != nullptr ? &tally_->entry("hct.network") : nullptr;
+    const u64 adc_bytes =
+        (static_cast<u64>(cfg_.ace.adc.bits) + 7) / 8;
 
     // Pipeline reserve: mark the accumulator and staging registers
     // dead and clear them (Section 4.2's reserve instruction).
@@ -196,13 +203,12 @@ Hct::execMvm(const std::vector<i64> &x, int input_bits, Cycle start)
             }
             port_free[p] = write_done;
 
-            if (tally_ != nullptr) {
-                const u64 bytes =
-                    static_cast<u64>(n) *
-                    ((static_cast<u64>(cfg_.ace.adc.bits) + 7) / 8);
-                tally_->add("hct.network", n,
-                            static_cast<double>(bytes) *
-                                cfg_.networkEnergyPerBytePJ);
+            if (t_network != nullptr) {
+                const u64 bytes = static_cast<u64>(n) * adc_bytes;
+                t_network->events += 1;
+                t_network->cycles += n;
+                t_network->energy += static_cast<double>(bytes) *
+                                     cfg_.networkEnergyPerBytePJ;
             }
 
             // --- Placement: with shift units the value lands

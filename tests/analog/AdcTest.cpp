@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "analog/Adc.h"
 
 namespace darth
@@ -116,6 +118,25 @@ TEST(Adc, SarFasterThanRampForFullPrecision)
               ramp.conversionLatency(64, 1));
     EXPECT_LT(ramp.conversionLatency(64, 1, 4),
               sar.conversionLatency(64, 2));
+}
+
+TEST(Adc, BitsOutsideOneToThirtyTwoAreRejected)
+{
+    // maxCode()/minCode() shift by bits - 1: bits <= 0 would be a
+    // negative shift and bits >= 64 an overflowing one.
+    for (int bits : {-1, 0, 33, 64}) {
+        AdcParams p = sar8();
+        p.bits = bits;
+        EXPECT_THROW((void)Adc{p}, std::invalid_argument) << bits;
+    }
+    AdcParams narrow = sar8();
+    narrow.bits = 1;
+    EXPECT_EQ(Adc(narrow).maxCode(), 0);
+    EXPECT_EQ(Adc(narrow).minCode(), -1);
+    AdcParams wide = ramp8();
+    wide.bits = 32;
+    EXPECT_EQ(Adc(wide).maxCode(), 2147483647);
+    EXPECT_EQ(Adc(wide).minCode(), -2147483648LL);
 }
 
 TEST(AdcDeath, ZeroAdcsIsFatal)

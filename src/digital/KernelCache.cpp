@@ -10,7 +10,7 @@ namespace digital
 KernelCache &
 KernelCache::instance()
 {
-    static KernelCache cache;
+    static KernelCache cache; // determinism-lint: allow(static-mutable-local) process-wide cache: entries_ is only touched under mu_, counters are atomic
     return cache;
 }
 

@@ -430,74 +430,31 @@ Journal::readBinaryFile(const std::string &path)
     return readBinary(in);
 }
 
-namespace
-{
-
-/** One record as a JSONL line — shared by the retained writeJsonl()
- *  export and the streaming JsonlSink. */
-void
-jsonlRecordLine(std::ostream &out, std::size_t i,
-                const JournalEvent &e, u64 checksum)
-{
-    out << "{\"i\":" << i << ",\"kind\":\"" << eventKindName(e.kind)
-        << "\",\"cycle\":" << e.cycle << ",\"a\":" << e.a
-        << ",\"b\":" << e.b << ",\"c\":" << e.c << ",\"d\":" << e.d;
-    if (!e.note.empty())
-        out << ",\"note\":\"" << jsonEscape(e.note) << "\"";
-    if (!e.values.empty()) {
-        out << ",\"values\":[";
-        for (std::size_t v = 0; v < e.values.size(); ++v)
-            out << (v ? "," : "") << e.values[v];
-        out << "]";
-    }
-    out << ",\"checksum\":\"" << hexU64(checksum) << "\"}\n";
-}
-
-} // namespace
-
 void
 Journal::writeJsonl(std::ostream &out) const
 {
     if (!retain_)
         throw std::logic_error(
-            "journal: writeJsonl requires event retention (attach a "
-            "JsonlSink for streaming JSONL export)");
+            "journal: writeJsonl requires event retention");
     out << "{\"format\":\"darth-journal\",\"version\":"
         << kFormatVersion << ",\"events\":" << events_.size()
         << ",\"chain_checksum\":\"" << hexU64(chainChecksum())
         << "\"}\n";
-    for (std::size_t i = 0; i < events_.size(); ++i)
-        jsonlRecordLine(out, i, events_[i], checksums_[i]);
-}
-
-JsonlSink::JsonlSink(std::ostream &out) : out_(out)
-{
-    chain_ = journalChainBasis();
-    out_ << "{\"format\":\"darth-journal\",\"version\":"
-         << Journal::kFormatVersion << ",\"streaming\":true}\n";
-}
-
-void
-JsonlSink::onRecord(const JournalEvent &event, std::size_t index,
-                    u64 checksum,
-                    const std::vector<unsigned char> &encoded)
-{
-    (void)encoded;
-    jsonlRecordLine(out_, index, event, checksum);
-    count_ = index + 1;
-    chain_ = checksum;
-}
-
-void
-JsonlSink::finish()
-{
-    if (finished_)
-        return;
-    finished_ = true;
-    out_ << "{\"format\":\"darth-journal-summary\",\"events\":"
-         << count_ << ",\"chain_checksum\":\"" << hexU64(chain_)
-         << "\"}\n";
-    out_.flush();
+    for (std::size_t i = 0; i < events_.size(); ++i) {
+        const JournalEvent &e = events_[i];
+        out << "{\"i\":" << i << ",\"kind\":\"" << eventKindName(e.kind)
+            << "\",\"cycle\":" << e.cycle << ",\"a\":" << e.a
+            << ",\"b\":" << e.b << ",\"c\":" << e.c << ",\"d\":" << e.d;
+        if (!e.note.empty())
+            out << ",\"note\":\"" << jsonEscape(e.note) << "\"";
+        if (!e.values.empty()) {
+            out << ",\"values\":[";
+            for (std::size_t v = 0; v < e.values.size(); ++v)
+                out << (v ? "," : "") << e.values[v];
+            out << "]";
+        }
+        out << ",\"checksum\":\"" << hexU64(checksums_[i]) << "\"}\n";
+    }
 }
 
 } // namespace journal

@@ -262,8 +262,7 @@ struct JournalEvent
  * order, with its chained checksum and canonical encoded bytes —
  * everything the durable formats store — so exports no longer need
  * the full in-memory event vector. Segment.h's rotating
- * SegmentWriter and the JSONL JsonlSink below are the two shipped
- * sinks.
+ * SegmentWriter is the shipped sink.
  */
 class JournalSink
 {
@@ -366,33 +365,6 @@ class Journal
     u64 chainTail_ = 0;
     bool retain_ = true;
     JournalSink *sink_ = nullptr;
-};
-
-/**
- * Streaming JSONL export: one line per record as it appends, the
- * flush-on-append counterpart of writeJsonl() (which needs the full
- * retained event vector). The writeJsonl() header totals are
- * unknowable up front, so the stream opens with a totals-free
- * header line and finish() appends a summary line carrying the
- * final record count and chain checksum.
- */
-class JsonlSink : public JournalSink
-{
-  public:
-    explicit JsonlSink(std::ostream &out);
-
-    void onRecord(const JournalEvent &event, std::size_t index,
-                  u64 checksum,
-                  const std::vector<unsigned char> &encoded) override;
-
-    /** Write the summary trailer line (idempotent). */
-    void finish();
-
-  private:
-    std::ostream &out_;
-    std::size_t count_ = 0;
-    u64 chain_ = 0;
-    bool finished_ = false;
 };
 
 } // namespace journal

@@ -237,8 +237,9 @@ parseHeaderRecords(const std::vector<JournalEvent> &ev,
         throw std::runtime_error(
             "Replayer: run_begin announces an empty pool");
 
+    // Nothing is sized from a count the journal announces: a
+    // corrupt count must fail the record checks below, not allocate.
     setup.slots.clear();
-    setup.slots.reserve(slot_count);
     for (std::size_t s = 0; s < slot_count; ++s) {
         const JournalEvent &e = need(EventKind::PoolChip);
         if (e.a != s)
@@ -455,9 +456,8 @@ Replayer::Replayer(Journal recorded) : recorded_(std::move(recorded))
     const u64 announced = parseHeaderRecords(ev, i, setup_);
     streamed_ = announced == kStreamedTraceCount;
 
+    // Grown from the records, not reserved from `announced`.
     trace_.clear();
-    if (!streamed_)
-        trace_.reserve(static_cast<std::size_t>(announced));
     serve::ServeRequest req;
     for (; i < ev.size(); ++i)
         if (requestOf(ev[i], trace_.size(), req, "Replayer"))

@@ -61,6 +61,29 @@ granularityName(Granularity granularity)
     darth_panic("granularityName: unknown granularity");
 }
 
+ServedModel
+tenantModel(const TrafficGen &gen, const TenantSpec &spec,
+            std::size_t index)
+{
+    // A zero modelKey means a private model: give the weights a
+    // unique identity (salted by the tenant index) but keep the
+    // placement key 0 so no affinity sharing happens.
+    const u64 weight_key = spec.modelKey != 0
+                               ? spec.modelKey
+                               : TrafficGen::privateModelKey(index);
+    switch (spec.kind) {
+      case WorkloadKind::CnnInfer:
+        return gen.cnnInferNet(weight_key);
+      case WorkloadKind::LlmInfer:
+        return gen.llmInferNet(weight_key);
+      default:
+        return MatrixModel{gen.weights(spec.kind, weight_key),
+                           TrafficGen::elementBits(spec.kind),
+                           TrafficGen::bitsPerCell(spec.kind),
+                           TrafficGen::inputBits(spec.kind)};
+    }
+}
+
 std::vector<Tenant>
 buildTenants(ChipPool &pool, const TrafficGen &gen,
              const std::vector<TenantSpec> &specs)
@@ -70,32 +93,11 @@ buildTenants(ChipPool &pool, const TrafficGen &gen,
     for (std::size_t i = 0; i < specs.size(); ++i) {
         const TenantSpec &spec = specs[i];
         TrafficGen::validateSpec(spec);
-        // A zero modelKey means a private model: give the weights a
-        // unique identity (salted by the tenant index) but keep the
-        // placement key 0 so no affinity sharing happens.
-        const u64 weight_key = spec.modelKey != 0
-                                   ? spec.modelKey
-                                   : TrafficGen::privateModelKey(i);
         Tenant tenant;
         tenant.name = spec.name;
         tenant.weight = spec.weight;
-        switch (spec.kind) {
-          case WorkloadKind::CnnInfer:
-            tenant.model = pool.placeCnnInference(
-                spec.modelKey, gen.cnnInferNet(weight_key));
-            break;
-          case WorkloadKind::LlmInfer:
-            tenant.model = pool.placeLlmInference(
-                spec.modelKey, gen.llmInferNet(weight_key));
-            break;
-          default:
-            tenant.model = pool.placeModel(
-                spec.modelKey, gen.weights(spec.kind, weight_key),
-                TrafficGen::elementBits(spec.kind),
-                TrafficGen::bitsPerCell(spec.kind),
-                TrafficGen::inputBits(spec.kind));
-            break;
-        }
+        tenant.model =
+            pool.place(spec.modelKey, tenantModel(gen, spec, i));
         tenant.inputBits = TrafficGen::inputBits(spec.kind);
         tenant.slo = spec.slo;
         tenants.push_back(std::move(tenant));

@@ -213,10 +213,20 @@ struct Tenant
 };
 
 /**
- * Place every spec's model in the pool (weights from the traffic
- * generator) and build the admission-layer tenant list. Specs with a
- * non-zero modelKey share weights — and, under MatrixAffinity
- * placement, the placement itself.
+ * The model tenant `index` of a spec list serves, its weights
+ * regenerated from the traffic generator: a non-zero modelKey names
+ * shared weights, a zero key a private model salted by the tenant
+ * index (TrafficGen::privateModelKey). Same arguments, bit-identical
+ * model — which is what lets a migration re-place it elsewhere.
+ */
+ServedModel tenantModel(const TrafficGen &gen, const TenantSpec &spec,
+                        std::size_t index);
+
+/**
+ * Place every spec's model in the pool (tenantModel) and build the
+ * admission-layer tenant list. Specs with a non-zero modelKey share
+ * weights — and, under MatrixAffinity placement, the placement
+ * itself.
  */
 std::vector<Tenant> buildTenants(ChipPool &pool, const TrafficGen &gen,
                                  const std::vector<TenantSpec> &specs);

@@ -1,6 +1,7 @@
 #include "serve/ChipPool.h"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "common/Logging.h"
@@ -36,6 +37,24 @@ sharesByKey(PlacementPolicy policy)
 {
     return policy == PlacementPolicy::MatrixAffinity ||
            policy == PlacementPolicy::CostAware;
+}
+
+/** Journal note of each ServedModel alternative, in index order. */
+constexpr const char *kKindNote[] = {"mvm", "cnn_infer", "llm_infer"};
+static_assert(std::size(kKindNote) == std::variant_size_v<ServedModel>);
+
+/** The weight matrices a model programs, in a fixed per-kind order. */
+std::vector<const MatrixI *>
+weightMatrices(const ServedModel &model)
+{
+    if (const auto *m = std::get_if<MatrixModel>(&model))
+        return {&m->weights};
+    if (const auto *net = std::get_if<cnn::TinyCnn>(&model))
+        return {&net->conv1().weightMatrix(),
+                &net->conv2().weightMatrix(), &net->fc().weightMatrix()};
+    const llm::Encoder &enc = std::get<llm::Encoder>(model);
+    return {&enc.wq(), &enc.wk(), &enc.wv(),
+            &enc.wo(), &enc.wFf1(), &enc.wFf2()};
 }
 
 /**
@@ -222,9 +241,7 @@ ChipPool::lessLoaded(std::size_t a, std::size_t b) const
 }
 
 ChipPool::PlacementQuote
-ChipPool::quoteChips(
-    const std::function<std::pair<std::size_t, double>(std::size_t)>
-        &per_chip)
+ChipPool::quoteChips(const ServedModel &model)
 {
     PlacementQuote quote(chips_.size());
     for (std::size_t c = 0; c < chips_.size(); ++c) {
@@ -237,18 +254,30 @@ ChipPool::quoteChips(
             continue;
         }
         try {
-            const auto quoted = per_chip(c);
-            quote.parts[c] = quoted.first;
-            quote.score[c] = quoted.second;
+            // Every weight matrix must fit this one chip.
+            const auto [element_bits, bits_per_cell] =
+                precision(c, model);
+            std::size_t parts = 0;
+            for (const MatrixI *w : weightMatrices(model))
+                parts += runtime::Runtime::planMatrix(
+                             specs_[c].chip.hct, w->rows(), w->cols(),
+                             element_bits, bits_per_cell)
+                             .parts.size();
+            quote.score[c] =
+                cfg_.placement == PlacementPolicy::CostAware
+                    ? static_cast<double>(oracleCycles(c, model)) /
+                          specs_[c].clockGHz
+                    : 0.0;
+            quote.parts[c] = parts;
         } catch (const std::exception &e) {
-            // This chip's silicon cannot map the shape; exclude it
+            // This chip's silicon cannot map the model; exclude it
             // but keep the reason for the no-chip-fits diagnostic.
             quote.why[c] = e.what();
         }
     }
-    // per_chip quotes the shape's *silicon* cost (replicable across
-    // uniform slots); the backlog inflation is runtime state and
-    // always per slot.
+    // The quote above is the model's *silicon* cost (replicable
+    // across uniform slots); the backlog inflation is runtime state
+    // and always per slot.
     for (std::size_t c = 0; c < chips_.size(); ++c)
         if (quote.parts[c] != kUnplaceable)
             quote.score[c] *= loadFactor(c);
@@ -309,14 +338,14 @@ ChipPool::pickChip(const PlacementQuote &quote, const char *what,
         if (found)
             return best;
     }
-    // Nothing fits. tryPlace* callers handle exhaustion themselves
+    // Nothing fits. tryPlace callers handle exhaustion themselves
     // (an aborted migration, a deferred lazy placement) ...
     if (!fatal)
         return kNoChip;
-    // ... the place* entry points report each chip's quote (tiles
-    // needed vs free, inactive/avoided, or why the shape could not
-    // even be planned there) so a swallowed planning error is not
-    // mistaken for exhaustion.
+    // ... place reports each chip's quote (tiles needed vs free,
+    // inactive/avoided, or why the model could not even be planned
+    // there) so a swallowed planning error is not mistaken for
+    // exhaustion.
     std::string detail;
     for (std::size_t c = 0; c < n; ++c) {
         detail += " [" + specs_[c].name + std::to_string(c) + ": ";
@@ -336,27 +365,10 @@ ChipPool::pickChip(const PlacementQuote &quote, const char *what,
                       " free tiles";
         detail += "]";
     }
-    darth_fatal(what, ": no chip can take the placement;", detail,
+    darth_fatal("ChipPool::place: no chip can take the ", what,
+                " placement;", detail,
                 " — grow the pool or release models");
 }
-
-namespace
-{
-
-/** Full weight compare for affinity sharing (models are small). */
-bool
-sameMatrix(const MatrixI &a, const MatrixI &b)
-{
-    if (a.rows() != b.rows() || a.cols() != b.cols())
-        return false;
-    for (std::size_t r = 0; r < a.rows(); ++r)
-        for (std::size_t c = 0; c < a.cols(); ++c)
-            if (a(r, c) != b(r, c))
-                return false;
-    return true;
-}
-
-} // namespace
 
 double
 ChipPool::loadFactor(std::size_t chip) const
@@ -370,298 +382,137 @@ ChipPool::loadFactor(std::size_t chip) const
                      static_cast<double>(cfg_.backlogWindowNs);
 }
 
-double
-ChipPool::scoreFor(std::size_t chip, const runtime::MatrixPlan &plan,
-                   int input_bits)
+std::pair<int, int>
+ChipPool::precision(std::size_t chip, const ServedModel &model) const
 {
-    return rawCostScore(chip, plan, input_bits) * loadFactor(chip);
+    if (const auto *m = std::get_if<MatrixModel>(&model))
+        return {m->elementBits, m->bitsPerCell};
+    if (std::holds_alternative<cnn::TinyCnn>(model))
+        return {cnnMappers_[chip]->elementBits(),
+                cnnMappers_[chip]->bitsPerCell()};
+    return {llmMappers_[chip]->elementBits(),
+            llmMappers_[chip]->bitsPerCell()};
+}
+
+Cycle
+ChipPool::oracleCycles(std::size_t chip, const ServedModel &model)
+{
+    if (const auto *m = std::get_if<MatrixModel>(&model))
+        return runtimes_[chip]->scheduler().oracleCost(
+            runtime::Runtime::planMatrix(
+                specs_[chip].chip.hct, m->weights.rows(),
+                m->weights.cols(), m->elementBits, m->bitsPerCell),
+            m->inputBits);
+    if (const auto *net = std::get_if<cnn::TinyCnn>(&model))
+        return cnnMappers_[chip]->networkCost(net->layerStats()).latency;
+    return llmMappers_[chip]
+        ->hybridCost(std::get<llm::Encoder>(model).stats())
+        .latency;
 }
 
 double
-ChipPool::rawCostScore(std::size_t chip,
-                       const runtime::MatrixPlan &plan,
-                       int input_bits)
-{
-    const Cycle cost =
-        runtimes_[chip]->scheduler().oracleCost(plan, input_bits);
-    return static_cast<double>(cost) / specs_[chip].clockGHz;
-}
-
-double
-ChipPool::placementScore(std::size_t chip, std::size_t rows,
-                         std::size_t cols, int element_bits,
-                         int bits_per_cell, int input_bits)
+ChipPool::placementScore(std::size_t chip, const ServedModel &model)
 {
     if (chip >= chips_.size())
         darth_panic("ChipPool::placementScore: chip ", chip,
                     " out of range ", chips_.size());
-    const auto plan = runtime::Runtime::planMatrix(
-        specs_[chip].chip.hct, rows, cols, element_bits,
-        bits_per_cell);
-    return scoreFor(chip, plan, input_bits);
+    return static_cast<double>(oracleCycles(chip, model)) /
+           specs_[chip].clockGHz * loadFactor(chip);
 }
 
-ModelRef
-ChipPool::placeModel(u64 key, const MatrixI &m, int element_bits,
-                     int bits_per_cell, int input_bits)
+bool
+ChipPool::sameModel(const Model &held, const ServedModel &offered)
 {
-    return placeModelImpl(key, m, element_bits, bits_per_cell,
-                          input_bits, PlaceOptions{}, /*fatal=*/true);
+    if (held.inference == nullptr)
+        return std::holds_alternative<MatrixModel>(offered) &&
+               held.handle.matrix() ==
+                   std::get<MatrixModel>(offered).weights;
+    const std::vector<const MatrixI *> mine =
+        weightMatrices(held.inference->net);
+    const std::vector<const MatrixI *> theirs = weightMatrices(offered);
+    return held.inference->net.index() == offered.index() &&
+           std::equal(mine.begin(), mine.end(), theirs.begin(),
+                      [](const MatrixI *a, const MatrixI *b) {
+                          return *a == *b;
+                      });
 }
 
 ModelRef
-ChipPool::tryPlaceModel(u64 key, const MatrixI &m, int element_bits,
-                        int bits_per_cell, int input_bits,
-                        const PlaceOptions &opts)
+ChipPool::place(u64 key, ServedModel model)
 {
-    return placeModelImpl(key, m, element_bits, bits_per_cell,
-                          input_bits, opts, /*fatal=*/false);
+    return placeImpl(key, std::move(model), kNoChip, /*fatal=*/true);
 }
 
 ModelRef
-ChipPool::placeModelImpl(u64 key, const MatrixI &m, int element_bits,
-                         int bits_per_cell, int input_bits,
-                         const PlaceOptions &opts, bool fatal)
+ChipPool::tryPlace(u64 key, ServedModel model, std::size_t avoid_chip)
+{
+    return placeImpl(key, std::move(model), avoid_chip,
+                     /*fatal=*/false);
+}
+
+ModelRef
+ChipPool::placeImpl(u64 key, ServedModel model, std::size_t avoid_chip,
+                    bool fatal)
 {
     SeqLock lock(mu_);
-    if (sharesByKey(cfg_.placement) && key != 0 &&
-        !opts.freshPlacement) {
+    const char *note = kKindNote[model.index()];
+    const bool keyed = sharesByKey(cfg_.placement) && key != 0;
+    // A named avoid_chip is the migration move: a fresh placement
+    // past the affinity table that re-binds the key.
+    if (keyed && avoid_chip == kNoChip) {
         const auto it = affinity_.find(key);
         if (it != affinity_.end()) {
             // Sharing silently returns the existing placement; an
-            // offered matrix that differs from what the key names
-            // would make every later MVM silently wrong, so check it
-            // (models are small enough for a full compare).
+            // offered model that differs from what the key names
+            // would make every later request silently wrong, so check
+            // it (models are small enough for a full compare).
             const Model &held = models_[it->second];
-            if (held.inference != nullptr ||
-                !sameMatrix(held.handle.matrix(), m))
-                darth_fatal("ChipPool::placeModel: model key ", key,
+            if (!sameModel(held, model))
+                darth_fatal("ChipPool::place: model key ", key,
                             " is already placed with a different "
                             "model; use a fresh key per distinct "
-                            "matrix");
-            recordPlacement(journal_, it->second, key, held.chip,
-                            0.0, "mvm", /*shared=*/true);
+                            "model");
+            recordPlacement(journal_, it->second, key, held.chip, 0.0,
+                            note, /*shared=*/true);
             return it->second;
         }
     }
 
-    const PlacementQuote quote = quoteChips([&](std::size_t c) {
-        const auto plan = runtime::Runtime::planMatrix(
-            specs_[c].chip.hct, m.rows(), m.cols(), element_bits,
-            bits_per_cell);
-        const double score =
-            cfg_.placement == PlacementPolicy::CostAware
-                ? rawCostScore(c, plan, input_bits)
-                : 0.0;
-        return std::make_pair(plan.parts.size(), score);
-    });
-    const std::size_t c = pickChip(quote, "ChipPool::placeModel",
-                                   opts.avoidChip, fatal);
+    const PlacementQuote quote = quoteChips(model);
+    const std::size_t c = pickChip(quote, note, avoid_chip, fatal);
     if (c == kNoChip)
         return kNoModel;
 
-    Model model;
-    model.key = key;
-    model.chip = c;
-    model.handle =
-        sessions_[c].setMatrixBits(m, element_bits, bits_per_cell);
-    models_.push_back(std::move(model));
+    Model placed;
+    placed.key = key;
+    placed.chip = c;
+    if (const auto *m = std::get_if<MatrixModel>(&model)) {
+        placed.handle = sessions_[c].setMatrixBits(
+            m->weights, m->elementBits, m->bitsPerCell);
+    } else {
+        auto inference = std::make_unique<InferenceModel>();
+        inference->oracleCost = oracleCycles(c, model);
+        inference->net = std::move(model);
+        if (const auto *net =
+                std::get_if<cnn::TinyCnn>(&inference->net)) {
+            inference->cnnFwd = std::make_unique<cnn::TinyCnnForward>(
+                sessions_[c], *net, *cnnMappers_[c]);
+            inference->inputRows = net->inputSize();
+        } else {
+            const auto &enc = std::get<llm::Encoder>(inference->net);
+            inference->llmFwd = std::make_unique<llm::EncoderForward>(
+                sessions_[c], enc, *llmMappers_[c]);
+            inference->inputRows =
+                enc.config().seqLen * enc.config().dModel;
+        }
+        placed.inference = std::move(inference);
+    }
+    models_.push_back(std::move(placed));
     const ModelRef ref = models_.size() - 1;
-    if (sharesByKey(cfg_.placement) && key != 0)
+    if (keyed)
         affinity_[key] = ref;
-    recordPlacement(journal_, ref, key, c, quote.score[c], "mvm",
+    recordPlacement(journal_, ref, key, c, quote.score[c], note,
                     /*shared=*/false);
-    return ref;
-}
-
-ModelRef
-ChipPool::placeCnnInference(u64 key, cnn::TinyCnn net)
-{
-    return placeCnnImpl(key, std::move(net), PlaceOptions{},
-                        /*fatal=*/true);
-}
-
-ModelRef
-ChipPool::tryPlaceCnnInference(u64 key, cnn::TinyCnn net,
-                               const PlaceOptions &opts)
-{
-    return placeCnnImpl(key, std::move(net), opts, /*fatal=*/false);
-}
-
-ModelRef
-ChipPool::placeCnnImpl(u64 key, cnn::TinyCnn net,
-                       const PlaceOptions &opts, bool fatal)
-{
-    SeqLock lock(mu_);
-    if (sharesByKey(cfg_.placement) && key != 0 &&
-        !opts.freshPlacement) {
-        const auto it = affinity_.find(key);
-        if (it != affinity_.end()) {
-            const Model &held = models_[it->second];
-            const bool same =
-                held.inference != nullptr &&
-                held.inference->cnnNet != nullptr &&
-                sameMatrix(held.inference->cnnNet->conv1()
-                               .weightMatrix(),
-                           net.conv1().weightMatrix()) &&
-                sameMatrix(held.inference->cnnNet->conv2()
-                               .weightMatrix(),
-                           net.conv2().weightMatrix()) &&
-                sameMatrix(held.inference->cnnNet->fc().weightMatrix(),
-                           net.fc().weightMatrix());
-            if (!same)
-                darth_fatal("ChipPool::placeCnnInference: model key ",
-                            key, " is already placed with a different "
-                            "model; use a fresh key per distinct "
-                            "network");
-            recordPlacement(journal_, it->second, key, held.chip,
-                            0.0, "cnn_infer", /*shared=*/true);
-            return it->second;
-        }
-    }
-
-    // Whole-network placement: every layer's plan must fit one chip,
-    // so quote each chip's silicon separately.
-    const auto layers = net.layerStats();
-    const PlacementQuote quote = quoteChips([&](std::size_t c) {
-        cnn::CnnMapper &mapper = cnnMapper(c);
-        std::size_t parts = 0;
-        for (const cnn::LayerStats &layer : layers)
-            parts += runtime::Runtime::planMatrix(
-                         specs_[c].chip.hct, layer.mvmRows,
-                         layer.mvmCols, mapper.elementBits(),
-                         mapper.bitsPerCell())
-                         .parts.size();
-        const double score =
-            cfg_.placement == PlacementPolicy::CostAware
-                ? static_cast<double>(
-                      mapper.networkCost(layers).latency) /
-                      specs_[c].clockGHz
-                : 0.0;
-        return std::make_pair(parts, score);
-    });
-    const std::size_t c = pickChip(
-        quote, "ChipPool::placeCnnInference", opts.avoidChip, fatal);
-    if (c == kNoChip)
-        return kNoModel;
-    cnn::CnnMapper &mapper = cnnMapper(c);
-
-    auto inference = std::make_unique<InferenceModel>();
-    inference->cnnNet = std::make_unique<cnn::TinyCnn>(std::move(net));
-    inference->cnnFwd = std::make_unique<cnn::TinyCnnForward>(
-        sessions_[c], *inference->cnnNet, mapper);
-    inference->inputRows = inference->cnnNet->inputSize();
-    inference->oracleCost =
-        mapper.networkCost(inference->cnnNet->layerStats()).latency;
-
-    Model model;
-    model.key = key;
-    model.chip = c;
-    model.inference = std::move(inference);
-    models_.push_back(std::move(model));
-    const ModelRef ref = models_.size() - 1;
-    if (sharesByKey(cfg_.placement) && key != 0)
-        affinity_[key] = ref;
-    recordPlacement(journal_, ref, key, c, quote.score[c],
-                    "cnn_infer", /*shared=*/false);
-    return ref;
-}
-
-ModelRef
-ChipPool::placeLlmInference(u64 key, llm::Encoder enc)
-{
-    return placeLlmImpl(key, std::move(enc), PlaceOptions{},
-                        /*fatal=*/true);
-}
-
-ModelRef
-ChipPool::tryPlaceLlmInference(u64 key, llm::Encoder enc,
-                               const PlaceOptions &opts)
-{
-    return placeLlmImpl(key, std::move(enc), opts, /*fatal=*/false);
-}
-
-ModelRef
-ChipPool::placeLlmImpl(u64 key, llm::Encoder enc,
-                       const PlaceOptions &opts, bool fatal)
-{
-    SeqLock lock(mu_);
-    if (sharesByKey(cfg_.placement) && key != 0 &&
-        !opts.freshPlacement) {
-        const auto it = affinity_.find(key);
-        if (it != affinity_.end()) {
-            const Model &held = models_[it->second];
-            const bool same =
-                held.inference != nullptr &&
-                held.inference->llmEnc != nullptr &&
-                sameMatrix(held.inference->llmEnc->wq(), enc.wq()) &&
-                sameMatrix(held.inference->llmEnc->wk(), enc.wk()) &&
-                sameMatrix(held.inference->llmEnc->wv(), enc.wv()) &&
-                sameMatrix(held.inference->llmEnc->wo(), enc.wo()) &&
-                sameMatrix(held.inference->llmEnc->wFf1(),
-                           enc.wFf1()) &&
-                sameMatrix(held.inference->llmEnc->wFf2(),
-                           enc.wFf2());
-            if (!same)
-                darth_fatal("ChipPool::placeLlmInference: model key ",
-                            key, " is already placed with a different "
-                            "model; use a fresh key per distinct "
-                            "network");
-            recordPlacement(journal_, it->second, key, held.chip,
-                            0.0, "llm_infer", /*shared=*/true);
-            return it->second;
-        }
-    }
-
-    const llm::EncoderStats stats = enc.stats();
-    const PlacementQuote quote = quoteChips([&](std::size_t c) {
-        llm::LlmMapper &mapper = llmMapper(c);
-        std::size_t parts = 0;
-        for (const auto &group : stats.staticMvms)
-            parts += runtime::Runtime::planMatrix(
-                         specs_[c].chip.hct, group.rows, group.cols,
-                         mapper.elementBits(), mapper.bitsPerCell())
-                         .parts.size();
-        // staticMvms groups the four dModel x dModel projections as
-        // one shape; the placements are per matrix, so scale that
-        // group. (Q/K/V/O share a shape but not tiles.)
-        parts += 3 * runtime::Runtime::planMatrix(
-                         specs_[c].chip.hct, enc.config().dModel,
-                         enc.config().dModel, mapper.elementBits(),
-                         mapper.bitsPerCell())
-                         .parts.size();
-        const double score =
-            cfg_.placement == PlacementPolicy::CostAware
-                ? static_cast<double>(
-                      mapper.hybridCost(stats).latency) /
-                      specs_[c].clockGHz
-                : 0.0;
-        return std::make_pair(parts, score);
-    });
-    const std::size_t c = pickChip(
-        quote, "ChipPool::placeLlmInference", opts.avoidChip, fatal);
-    if (c == kNoChip)
-        return kNoModel;
-    llm::LlmMapper &mapper = llmMapper(c);
-
-    auto inference = std::make_unique<InferenceModel>();
-    inference->llmEnc = std::make_unique<llm::Encoder>(std::move(enc));
-    inference->llmFwd = std::make_unique<llm::EncoderForward>(
-        sessions_[c], *inference->llmEnc, mapper);
-    inference->inputRows = inference->llmEnc->config().seqLen *
-                           inference->llmEnc->config().dModel;
-    inference->oracleCost = mapper.hybridCost(stats).latency;
-
-    Model model;
-    model.key = key;
-    model.chip = c;
-    model.inference = std::move(inference);
-    models_.push_back(std::move(model));
-    const ModelRef ref = models_.size() - 1;
-    if (sharesByKey(cfg_.placement) && key != 0)
-        affinity_[key] = ref;
-    recordPlacement(journal_, ref, key, c, quote.score[c],
-                    "llm_infer", /*shared=*/false);
     return ref;
 }
 
@@ -727,10 +578,11 @@ ChipPool::beginInference(ModelRef model,
     auto inference = std::make_unique<StagedInference>();
     inference->model = model;
     if (im.cnnFwd != nullptr) {
-        inference->run =
-            im.cnnFwd->begin(im.cnnNet->inputFromFlat(input), ready);
+        inference->run = im.cnnFwd->begin(
+            std::get<cnn::TinyCnn>(im.net).inputFromFlat(input), ready);
     } else {
-        const llm::EncoderConfig &cfg = im.llmEnc->config();
+        const llm::EncoderConfig &cfg =
+            std::get<llm::Encoder>(im.net).config();
         MatrixI tokens(cfg.seqLen, cfg.dModel);
         for (std::size_t t = 0; t < cfg.seqLen; ++t)
             for (std::size_t c = 0; c < cfg.dModel; ++c)
@@ -773,12 +625,6 @@ ChipPool::advanceInference(StagedInference &inference, Cycle admitted)
                     inference.model, "'s run already submitted all ",
                     inference.stageCount(), " stages");
     return inference.run->submitNext(admitted);
-}
-
-Cycle
-ChipPool::stageDoneCycle(StagedInference &inference, std::size_t stage)
-{
-    return inference.run->stepDone(stage);
 }
 
 WallNs

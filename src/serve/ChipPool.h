@@ -72,22 +72,22 @@
  * slots can be deactivated (setChipActive) so draining chips accept
  * no new placements, placements can be released mid-run
  * (releaseModel frees the tiles; the caller must first drain the
- * model's in-flight work), and the tryPlace* variants report
- * placement failure with kNoModel instead of aborting — the
- * building blocks of live migration (detach the affinity key,
- * re-place the same weights elsewhere, release the old placement
- * once begun work finishes) and autoscaling.
+ * model's in-flight work), and tryPlace reports placement failure
+ * with kNoModel instead of aborting — the building blocks of live
+ * migration (re-place the same weights on another chip, re-binding
+ * the affinity key; release the old placement once begun work
+ * finishes) and autoscaling.
  */
 
 #ifndef DARTH_SERVE_CHIPPOOL_H
 #define DARTH_SERVE_CHIPPOOL_H
 
 #include <cstddef>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "apps/cnn/CnnMapper.h"
@@ -143,32 +143,31 @@ struct PoolConfig
 /** Handle to one model placed somewhere in the pool. */
 using ModelRef = std::size_t;
 
-/** tryPlace* result when no active chip can take the placement. */
+/** tryPlace result when no active chip can take the placement. */
 constexpr ModelRef kNoModel = ~std::size_t{0};
 
-/** tryPlace* `avoidChip` value meaning "no chip excluded". */
+/** tryPlace `avoid_chip` value meaning "no chip excluded". */
 constexpr std::size_t kNoChip = ~std::size_t{0};
 
-/**
- * Knobs of the tryPlace* placement variants (migration plumbing).
- */
-struct PlaceOptions
+/** A single-MVM model: one weight matrix and its precision. */
+struct MatrixModel
 {
-    /**
-     * Exclude one chip from the candidate set — a migration wants
-     * the best placement *other than* the chip the model already
-     * occupies. kNoChip excludes nothing.
-     */
-    std::size_t avoidChip = kNoChip;
-    /**
-     * Skip the affinity-reuse fast path and create a fresh
-     * placement even when the key is already placed; on success the
-     * key re-binds to the new placement (the old one keeps its
-     * tiles until releaseModel). This is the migration move: same
-     * key, same weights, new chip.
-     */
-    bool freshPlacement = false;
+    MatrixI weights;
+    /** Weight element bits and analog bits per cell the matrix is
+     *  programmed at. */
+    int elementBits = 8;
+    int bitsPerCell = 2;
+    /** Request precision CostAware scores the shape at. */
+    int inputBits = 8;
 };
+
+/**
+ * What one placement serves: a weight matrix for single-MVM
+ * requests, or a whole TinyCnn / small-encoder network whose
+ * requests are inferences (programmed at the chip's mapper
+ * precision).
+ */
+using ServedModel = std::variant<MatrixModel, cnn::TinyCnn, llm::Encoder>;
 
 /** Result of one whole-inference request executed by the pool. */
 struct InferenceOutcome
@@ -218,7 +217,7 @@ struct StagedInference
  *
  * The placement tables (models_, affinity_, the round-robin cursor)
  * are GUARDED_BY(mu_). The threading contract has two phases:
- * placement calls (placeModel and friends) serialize on mu_ and are
+ * placement calls (place, tryPlace) serialize on mu_ and are
  * issued before serving starts; the run-time entry points (submit,
  * wait, beginInference, the model metadata lookups) take mu_ only
  * long enough to resolve the ModelRef, then drive the owning chip's
@@ -279,65 +278,38 @@ class ChipPool
     std::size_t liveModels(std::size_t chip) const EXCLUDES(mu_);
 
     /**
-     * Place a weight matrix on a chip chosen by the placement
-     * policy. Under MatrixAffinity and CostAware a non-zero `key`
-     * already placed returns the existing ModelRef (shared
-     * placement) — fatal if the offered matrix differs from the one
-     * the key already names; otherwise every call creates a fresh
-     * placement. Fatal when no chip has enough free tiles.
-     * `input_bits` is the request precision CostAware scores the
-     * shape at (immaterial to the other policies).
+     * Place a model (every weight matrix on one chip) by the
+     * placement policy. Under MatrixAffinity and CostAware a
+     * non-zero `key` already placed returns the existing ModelRef
+     * (shared placement) — fatal unless the offered model is the
+     * same kind with every weight matrix equal; otherwise every call
+     * creates a fresh placement. Fatal when no chip has enough free
+     * tiles.
      */
-    ModelRef placeModel(u64 key, const MatrixI &m, int element_bits,
-                        int bits_per_cell, int input_bits = 8)
-        EXCLUDES(mu_);
+    ModelRef place(u64 key, ServedModel model) EXCLUDES(mu_);
 
     /**
-     * CostAware's score for one single-MVM shape on one chip: the
-     * KernelModel oracle latency of one request on that chip's
-     * configuration (measured through the chip's own scheduler
-     * oracle), in nanoseconds (cycles over the chip clock),
-     * inflated by the chip's current scheduler backlog:
-     * (1 + backlogCycles / backlogWindowCycles). Fatal when the
-     * shape cannot be planned on that chip at all.
+     * place() that returns kNoModel on exhaustion instead of
+     * aborting. Naming `avoid_chip` makes it the migration move: a
+     * fresh placement on any chip but that one, past the affinity
+     * table, that re-binds the key (the old placement keeps its
+     * tiles until releaseModel). A FleetController migrates and
+     * lazily places through this, so a full pool degrades to
+     * "migration aborted", never to a crash.
      */
-    double placementScore(std::size_t chip, std::size_t rows,
-                          std::size_t cols, int element_bits,
-                          int bits_per_cell, int input_bits);
+    ModelRef tryPlace(u64 key, ServedModel model,
+                      std::size_t avoid_chip = kNoChip) EXCLUDES(mu_);
 
     /**
-     * Place a whole TinyCnn inference model (all three layers) on one
-     * chip. Sharing and key semantics match placeModel(): a non-zero
-     * key already placed under MatrixAffinity returns the existing
-     * ModelRef after checking the weights match.
+     * CostAware's score for a model on one chip: the KernelModel
+     * oracle latency of one request on that chip's configuration
+     * (single MVM: the chip's scheduler oracle; inference: the
+     * chip's mapper network cost), in nanoseconds (cycles over the
+     * chip clock), inflated by the chip's current scheduler backlog:
+     * (1 + backlogNs / backlogWindowNs). Fatal when the model cannot
+     * be planned on that chip at all.
      */
-    ModelRef placeCnnInference(u64 key, cnn::TinyCnn net)
-        EXCLUDES(mu_);
-
-    /** Place a whole small-encoder inference model (six matrices). */
-    ModelRef placeLlmInference(u64 key, llm::Encoder enc)
-        EXCLUDES(mu_);
-
-    /**
-     * Non-fatal placement variants: identical to placeModel /
-     * placeCnnInference / placeLlmInference except that exhaustion
-     * (no active chip fits, or only the avoided chip does) returns
-     * kNoModel instead of aborting, and PlaceOptions can exclude a
-     * chip and force a fresh placement past the affinity table. A
-     * FleetController migrates and lazily places through these so a
-     * full pool degrades to "migration aborted", never to a crash.
-     */
-    ModelRef tryPlaceModel(u64 key, const MatrixI &m,
-                           int element_bits, int bits_per_cell,
-                           int input_bits = 8,
-                           const PlaceOptions &opts = {})
-        EXCLUDES(mu_);
-    ModelRef tryPlaceCnnInference(u64 key, cnn::TinyCnn net,
-                                  const PlaceOptions &opts = {})
-        EXCLUDES(mu_);
-    ModelRef tryPlaceLlmInference(u64 key, llm::Encoder enc,
-                                  const PlaceOptions &opts = {})
-        EXCLUDES(mu_);
+    double placementScore(std::size_t chip, const ServedModel &model);
 
     /**
      * Release one placement: frees its tiles (draining any queued
@@ -375,11 +347,6 @@ class ChipPool
      */
     std::size_t advanceInference(StagedInference &inference,
                                  Cycle admitted);
-
-    /** Completion cycle of one submitted stage, in the owning
-     *  chip's cycles (fatal for a stage not yet submitted). */
-    Cycle stageDoneCycle(StagedInference &inference,
-                         std::size_t stage);
 
     /** Completion of one submitted stage in wall-clock
      *  nanoseconds. */
@@ -471,9 +438,9 @@ class ChipPool
      *  forward's references stay stable as models_ grows. */
     struct InferenceModel
     {
-        std::unique_ptr<cnn::TinyCnn> cnnNet;
+        /** The network: a TinyCnn or an Encoder, never a matrix. */
+        ServedModel net;
         std::unique_ptr<cnn::TinyCnnForward> cnnFwd;
-        std::unique_ptr<llm::Encoder> llmEnc;
         std::unique_ptr<llm::EncoderForward> llmFwd;
         /** Flat input length of one request. */
         std::size_t inputRows = 0;
@@ -495,10 +462,10 @@ class ChipPool
 
     /**
      * What a fresh placement would need/cost per chip. `parts[c]` is
-     * the tile count on chip c (kUnplaceable when the shape cannot
+     * the tile count on chip c (kUnplaceable when the model cannot
      * map to that chip's silicon at all — `why[c]` keeps the
-     * reason); `score[c]` is the CostAware nanosecond cost (only
-     * consulted under CostAware).
+     * reason); `score[c]` is the CostAware nanosecond cost (0 under
+     * the other policies, which do not score).
      */
     struct PlacementQuote
     {
@@ -513,15 +480,14 @@ class ChipPool
     };
 
     /**
-     * Quote every chip for a fresh placement. `per_chip(c)` returns
-     * {tiles needed, CostAware score} on chip c's silicon and may
-     * throw when the shape cannot map there (the chip is excluded
-     * and the reason recorded). Uniform pools quote slot 0 once and
-     * replicate — identical silicon, deterministic measurement.
+     * Quote every chip for a fresh placement of `model`: the tiles
+     * its weight matrices need on that chip's silicon and, under
+     * CostAware, its score. A chip the model cannot map to is
+     * excluded with the reason recorded. Uniform pools quote slot 0
+     * once and replicate — identical silicon, deterministic
+     * measurement.
      */
-    PlacementQuote quoteChips(
-        const std::function<std::pair<std::size_t, double>(
-            std::size_t)> &per_chip);
+    PlacementQuote quoteChips(const ServedModel &model);
 
     /** Chip for a fresh placement, by the configured policy
      *  (touches the round-robin cursor); kNoChip when no active,
@@ -535,34 +501,27 @@ class ChipPool
      *  (most free tiles, then soonest makespan, then index). */
     bool lessLoaded(std::size_t a, std::size_t b) const;
 
-    /** The CostAware score of an already-planned single-MVM shape
-     *  on one chip: rawCostScore times the chip's loadFactor
-     *  (placementScore's backing). */
-    double scoreFor(std::size_t chip, const runtime::MatrixPlan &plan,
-                    int input_bits);
+    /** Element bits and bits per cell `model` is programmed at on
+     *  one chip (a matrix's own; the chip's mapper's for networks). */
+    std::pair<int, int> precision(std::size_t chip,
+                                  const ServedModel &model) const;
 
-    /** The silicon-only part of the score (oracle cost over clock,
-     *  no backlog term) — what quoteChips replicates across uniform
-     *  slots before applying per-slot load. */
-    double rawCostScore(std::size_t chip,
-                        const runtime::MatrixPlan &plan,
-                        int input_bits);
+    /** KernelModel oracle latency of one request of `model` on one
+     *  chip's configuration, in that chip's cycles. */
+    Cycle oracleCycles(std::size_t chip, const ServedModel &model);
+
+    /** Affinity sameness: the offered model is the held one's kind
+     *  and every weight matrix is equal. */
+    static bool sameModel(const Model &held, const ServedModel &offered);
 
     /** The CostAware backlog inflation of one chip:
      *  1 + backlogNs / backlogWindowNs. */
     double loadFactor(std::size_t chip) const;
 
-    /** Shared body of placeModel / tryPlaceModel (and the inference
-     *  pair): `fatal` picks the exhaustion behavior. */
-    ModelRef placeModelImpl(u64 key, const MatrixI &m,
-                            int element_bits, int bits_per_cell,
-                            int input_bits, const PlaceOptions &opts,
-                            bool fatal) EXCLUDES(mu_);
-    ModelRef placeCnnImpl(u64 key, cnn::TinyCnn net,
-                          const PlaceOptions &opts, bool fatal)
-        EXCLUDES(mu_);
-    ModelRef placeLlmImpl(u64 key, llm::Encoder enc,
-                          const PlaceOptions &opts, bool fatal)
+    /** The one body of place / tryPlace: `fatal` picks the
+     *  exhaustion behavior. */
+    ModelRef placeImpl(u64 key, ServedModel model,
+                       std::size_t avoid_chip, bool fatal)
         EXCLUDES(mu_);
 
     const Model &modelRef(ModelRef model, const char *what) const
@@ -581,17 +540,6 @@ class ChipPool
     const Model &lookupModel(ModelRef model, const char *what) const
         EXCLUDES(mu_);
 
-    /** Per-chip inference mappers (chips may differ in silicon);
-     *  built eagerly at construction, immutable slots after. */
-    cnn::CnnMapper &cnnMapper(std::size_t chip)
-    {
-        return *cnnMappers_[chip];
-    }
-    llm::LlmMapper &llmMapper(std::size_t chip)
-    {
-        return *llmMappers_[chip];
-    }
-
     PoolConfig cfg_;
     /** One resolved spec per slot. */
     std::vector<ChipSpec> specs_;
@@ -604,6 +552,8 @@ class ChipPool
     std::vector<std::unique_ptr<runtime::Runtime>> runtimes_;
     /** One serving session per chip; all models live in these. */
     std::vector<runtime::Session> sessions_;
+    /** Per-chip inference mappers (chips may differ in silicon);
+     *  built eagerly at construction, immutable slots after. */
     std::vector<std::unique_ptr<cnn::CnnMapper>> cnnMappers_;
     std::vector<std::unique_ptr<llm::LlmMapper>> llmMappers_;
 

@@ -33,45 +33,6 @@ FleetController::FleetController(ChipPool &pool, const TrafficGen &gen,
         TrafficGen::validateSpec(spec);
 }
 
-ModelRef
-FleetController::place(std::size_t t, const PlaceOptions &opts,
-                       bool fatal)
-{
-    const TenantSpec &spec = specs_[t];
-    // Mirror buildTenants' weight identity: a zero modelKey means a
-    // private model salted by the tenant index, so a migration
-    // regenerates bit-identical weights from the same stream.
-    const u64 weight_key = spec.modelKey != 0
-                               ? spec.modelKey
-                               : TrafficGen::privateModelKey(t);
-    switch (spec.kind) {
-      case WorkloadKind::CnnInfer:
-        if (fatal)
-            return pool_.placeCnnInference(spec.modelKey,
-                                           gen_.cnnInferNet(weight_key));
-        return pool_.tryPlaceCnnInference(
-            spec.modelKey, gen_.cnnInferNet(weight_key), opts);
-      case WorkloadKind::LlmInfer:
-        if (fatal)
-            return pool_.placeLlmInference(spec.modelKey,
-                                           gen_.llmInferNet(weight_key));
-        return pool_.tryPlaceLlmInference(
-            spec.modelKey, gen_.llmInferNet(weight_key), opts);
-      default:
-        if (fatal)
-            return pool_.placeModel(
-                spec.modelKey, gen_.weights(spec.kind, weight_key),
-                TrafficGen::elementBits(spec.kind),
-                TrafficGen::bitsPerCell(spec.kind),
-                TrafficGen::inputBits(spec.kind));
-        return pool_.tryPlaceModel(
-            spec.modelKey, gen_.weights(spec.kind, weight_key),
-            TrafficGen::elementBits(spec.kind),
-            TrafficGen::bitsPerCell(spec.kind),
-            TrafficGen::inputBits(spec.kind), opts);
-    }
-}
-
 std::vector<Tenant>
 FleetController::buildInitialTenants()
 {
@@ -84,9 +45,10 @@ FleetController::buildInitialTenants()
         tenant.weight = spec.weight;
         tenant.inputBits = TrafficGen::inputBits(spec.kind);
         tenant.slo = spec.slo;
-        tenant.model = spec.arriveNs == 0
-                           ? place(t, PlaceOptions{}, /*fatal=*/true)
-                           : kNoModel;
+        tenant.model =
+            spec.arriveNs == 0
+                ? pool_.place(spec.modelKey, tenantModel(gen_, spec, t))
+                : kNoModel;
         tenants.push_back(std::move(tenant));
     }
     return tenants;
@@ -98,8 +60,9 @@ FleetController::placeTenant(std::size_t t)
     if (t >= specs_.size())
         darth_panic("FleetController::placeTenant: tenant ", t,
                     " out of range ", specs_.size());
+    const u64 key = specs_[t].modelKey;
     Placement result;
-    result.model = place(t, PlaceOptions{}, /*fatal=*/false);
+    result.model = pool_.tryPlace(key, tenantModel(gen_, specs_[t], t));
     // An arriving tenant outranks autoscaling: reactivate drained
     // slots (lowest index first) until the placement fits, keeping
     // the order so the caller journals each as ChipUp.
@@ -109,12 +72,13 @@ FleetController::placeTenant(std::size_t t)
             continue;
         pool_.setChipActive(c, true);
         result.activated.push_back(c);
-        result.model = place(t, PlaceOptions{}, /*fatal=*/false);
+        result.model =
+            pool_.tryPlace(key, tenantModel(gen_, specs_[t], t));
     }
     // Even the full pool cannot fit it: fail with the per-chip
     // diagnosis a static pool would have given.
     if (result.model == kNoModel)
-        result.model = place(t, PlaceOptions{}, /*fatal=*/true);
+        result.model = pool_.place(key, tenantModel(gen_, specs_[t], t));
     return result;
 }
 
@@ -124,10 +88,8 @@ FleetController::tryReplace(std::size_t t, std::size_t avoid_chip)
     if (t >= specs_.size())
         darth_panic("FleetController::tryReplace: tenant ", t,
                     " out of range ", specs_.size());
-    PlaceOptions opts;
-    opts.avoidChip = avoid_chip;
-    opts.freshPlacement = true;
-    return place(t, opts, /*fatal=*/false);
+    return pool_.tryPlace(specs_[t].modelKey,
+                          tenantModel(gen_, specs_[t], t), avoid_chip);
 }
 
 FleetController::TickPlan

@@ -265,6 +265,43 @@ TEST(ReplayerTest, RejectsMalformedJournals)
     }
 }
 
+TEST(ReplayerTest, HugeAnnouncedCountsAreRejectedNotAllocated)
+{
+    // A chain-valid journal may announce any count; the parser must
+    // reject the mismatch with its typed error, never size a buffer
+    // from the announcement (std::length_error / std::bad_alloc).
+    ServeRunSetup setup;
+    setup.slots = {PoolSlotSetup{SlotKind::Uniform, 2, 1.0}};
+    setup.tenants.resize(1);
+    setup.tenants[0].name = "micro";
+    setup.tenants[0].kind = WorkloadKind::Micro;
+    setup.horizon = 4000;
+    const ServeRunRecord rec = recordServeRun(setup);
+    constexpr u64 kHuge = u64{1} << 58;
+
+    for (const EventKind kind :
+         {EventKind::RunBegin, EventKind::TraceBegin}) {
+        Journal inflated;
+        bool found = false;
+        for (std::size_t i = 0; i < rec.journal.size(); ++i) {
+            JournalEvent e = rec.journal.event(i);
+            if (e.kind == kind) {
+                // RunBegin carries the slot count in values[1],
+                // TraceBegin the request count in a.
+                if (kind == EventKind::RunBegin)
+                    e.values[1] = static_cast<i64>(kHuge);
+                else
+                    e.a = kHuge;
+                found = true;
+            }
+            inflated.append(std::move(e));
+        }
+        ASSERT_TRUE(found) << eventKindName(kind);
+        EXPECT_THROW(Replayer{std::move(inflated)}, std::runtime_error)
+            << eventKindName(kind);
+    }
+}
+
 TEST(ReplayerTest, PoolConfigValidatesSlots)
 {
     ServeRunSetup setup;

@@ -76,13 +76,13 @@ TEST(ChipPool, RoundRobinSpreadsPlacements)
 {
     ChipPool pool(poolConfig(4, 2, PlacementPolicy::RoundRobin));
     for (std::size_t i = 0; i < 4; ++i) {
-        const ModelRef m =
-            pool.placeModel(0, randomMatrix(8, 8, 600 + i), 1, 1);
+        const ModelRef m = pool.place(
+            0, MatrixModel{randomMatrix(8, 8, 600 + i), 1, 1});
         EXPECT_EQ(pool.modelChip(m), i);
     }
     // Second lap wraps back to chip 0.
     const ModelRef again =
-        pool.placeModel(0, randomMatrix(8, 8, 610), 1, 1);
+        pool.place(0, MatrixModel{randomMatrix(8, 8, 610), 1, 1});
     EXPECT_EQ(pool.modelChip(again), 0u);
 }
 
@@ -92,16 +92,17 @@ TEST(ChipPool, RoundRobinSkipsFullChips)
     // the rotation walks past it.
     ChipPool pool(poolConfig(3, 1, PlacementPolicy::RoundRobin));
     const ModelRef a =
-        pool.placeModel(0, randomMatrix(8, 8, 620), 1, 1);
+        pool.place(0, MatrixModel{randomMatrix(8, 8, 620), 1, 1});
     const ModelRef b =
-        pool.placeModel(0, randomMatrix(8, 8, 621), 1, 1);
+        pool.place(0, MatrixModel{randomMatrix(8, 8, 621), 1, 1});
     const ModelRef c =
-        pool.placeModel(0, randomMatrix(8, 8, 622), 1, 1);
+        pool.place(0, MatrixModel{randomMatrix(8, 8, 622), 1, 1});
     EXPECT_EQ(pool.modelChip(a), 0u);
     EXPECT_EQ(pool.modelChip(b), 1u);
     EXPECT_EQ(pool.modelChip(c), 2u);
-    EXPECT_THROW(pool.placeModel(0, randomMatrix(8, 8, 623), 1, 1),
-                 std::runtime_error);
+    EXPECT_THROW(
+        pool.place(0, MatrixModel{randomMatrix(8, 8, 623), 1, 1}),
+        std::runtime_error);
 }
 
 TEST(ChipPool, LeastLoadedPicksEmptiestChip)
@@ -109,18 +110,18 @@ TEST(ChipPool, LeastLoadedPicksEmptiestChip)
     ChipPool pool(poolConfig(3, 2, PlacementPolicy::LeastLoaded));
     // All chips empty: ties break to the lowest index.
     const ModelRef a =
-        pool.placeModel(0, randomMatrix(8, 8, 630), 1, 1);
+        pool.place(0, MatrixModel{randomMatrix(8, 8, 630), 1, 1});
     EXPECT_EQ(pool.modelChip(a), 0u);
     // Chip 0 now has fewer free tiles than chips 1 and 2.
     const ModelRef b =
-        pool.placeModel(0, randomMatrix(8, 8, 631), 1, 1);
+        pool.place(0, MatrixModel{randomMatrix(8, 8, 631), 1, 1});
     EXPECT_EQ(pool.modelChip(b), 1u);
     const ModelRef c =
-        pool.placeModel(0, randomMatrix(8, 8, 632), 1, 1);
+        pool.place(0, MatrixModel{randomMatrix(8, 8, 632), 1, 1});
     EXPECT_EQ(pool.modelChip(c), 2u);
     // Back to even load: lowest index again.
     const ModelRef d =
-        pool.placeModel(0, randomMatrix(8, 8, 633), 1, 1);
+        pool.place(0, MatrixModel{randomMatrix(8, 8, 633), 1, 1});
     EXPECT_EQ(pool.modelChip(d), 0u);
 }
 
@@ -128,21 +129,21 @@ TEST(ChipPool, MatrixAffinitySharesPlacements)
 {
     ChipPool pool(poolConfig(2, 2, PlacementPolicy::MatrixAffinity));
     const MatrixI m = randomMatrix(8, 8, 640);
-    const ModelRef first = pool.placeModel(7, m, 1, 1);
+    const ModelRef first = pool.place(7, MatrixModel{m, 1, 1});
     const std::size_t free_after_first =
         pool.freeHcts(pool.modelChip(first));
     // Same key: the existing placement is returned, no tiles consumed.
-    const ModelRef second = pool.placeModel(7, m, 1, 1);
+    const ModelRef second = pool.place(7, MatrixModel{m, 1, 1});
     EXPECT_EQ(first, second);
     EXPECT_EQ(pool.freeHcts(pool.modelChip(first)), free_after_first);
     // A different key places fresh (on the emptier chip).
     const ModelRef other =
-        pool.placeModel(8, randomMatrix(8, 8, 641), 1, 1);
+        pool.place(8, MatrixModel{randomMatrix(8, 8, 641), 1, 1});
     EXPECT_NE(other, first);
     EXPECT_NE(pool.modelChip(other), pool.modelChip(first));
     // Key 0 opts out of sharing even under MatrixAffinity.
-    const ModelRef anon_a = pool.placeModel(0, m, 1, 1);
-    const ModelRef anon_b = pool.placeModel(0, m, 1, 1);
+    const ModelRef anon_a = pool.place(0, MatrixModel{m, 1, 1});
+    const ModelRef anon_b = pool.place(0, MatrixModel{m, 1, 1});
     EXPECT_NE(anon_a, anon_b);
 }
 
@@ -152,18 +153,46 @@ TEST(ChipPool, AffinityKeyReuseWithDifferentWeightsIsFatal)
     // ignoring different offered weights would make every later MVM
     // wrong; it must fail loudly instead.
     ChipPool pool(poolConfig(1, 2, PlacementPolicy::MatrixAffinity));
-    (void)pool.placeModel(9, randomMatrix(8, 8, 660), 1, 1);
-    EXPECT_THROW(pool.placeModel(9, randomMatrix(8, 8, 661), 1, 1),
-                 std::runtime_error);
+    (void)pool.place(9, MatrixModel{randomMatrix(8, 8, 660), 1, 1});
+    EXPECT_THROW(
+        pool.place(9, MatrixModel{randomMatrix(8, 8, 661), 1, 1}),
+        std::runtime_error);
     // Same shape, one differing element: still fatal.
     MatrixI tweaked = randomMatrix(8, 8, 660);
     tweaked(3, 3) ^= 1;
-    EXPECT_THROW(pool.placeModel(9, tweaked, 1, 1),
+    EXPECT_THROW(pool.place(9, MatrixModel{tweaked, 1, 1}),
                  std::runtime_error);
     // The identical matrix still shares cleanly.
     const ModelRef again =
-        pool.placeModel(9, randomMatrix(8, 8, 660), 1, 1);
+        pool.place(9, MatrixModel{randomMatrix(8, 8, 660), 1, 1});
     EXPECT_EQ(pool.modelChip(again), 0u);
+    // A different kind under the key is a different model.
+    EXPECT_THROW((void)pool.place(9, cnn::TinyCnn(5)),
+                 std::runtime_error);
+}
+
+TEST(ChipPool, TryPlaceReportsExhaustionAndMigratesSharedKeys)
+{
+    // One tile per chip: each 8x8 placement fills a chip.
+    ChipPool pool(poolConfig(2, 1, PlacementPolicy::MatrixAffinity));
+    const MatrixI m = randomMatrix(8, 8, 670);
+    const ModelRef shared = pool.place(5, MatrixModel{m, 1, 1});
+    const std::size_t src = pool.modelChip(shared);
+
+    // Naming an avoided chip is the migration move: a fresh
+    // placement elsewhere, past the affinity table, that re-binds
+    // the key.
+    const ModelRef moved = pool.tryPlace(5, MatrixModel{m, 1, 1}, src);
+    ASSERT_NE(moved, kNoModel);
+    EXPECT_NE(moved, shared);
+    EXPECT_NE(pool.modelChip(moved), src);
+    EXPECT_EQ(pool.place(5, MatrixModel{m, 1, 1}), moved);
+
+    // Both chips are full: tryPlace reports it, place is fatal.
+    const MatrixI other = randomMatrix(8, 8, 671);
+    EXPECT_EQ(pool.tryPlace(0, MatrixModel{other, 1, 1}), kNoModel);
+    EXPECT_THROW((void)pool.place(0, MatrixModel{other, 1, 1}),
+                 std::runtime_error);
 }
 
 TEST(ChipPool, SubmitRoutesToOwningChip)
@@ -171,8 +200,8 @@ TEST(ChipPool, SubmitRoutesToOwningChip)
     ChipPool pool(poolConfig(2, 2, PlacementPolicy::LeastLoaded));
     const MatrixI m_a = randomMatrix(8, 8, 650);
     const MatrixI m_b = randomMatrix(8, 8, 651);
-    const ModelRef a = pool.placeModel(0, m_a, 1, 1);
-    const ModelRef b = pool.placeModel(0, m_b, 1, 1);
+    const ModelRef a = pool.place(0, MatrixModel{m_a, 1, 1});
+    const ModelRef b = pool.place(0, MatrixModel{m_b, 1, 1});
     ASSERT_NE(pool.modelChip(a), pool.modelChip(b));
 
     const std::vector<i64> x(8, 1);
@@ -230,7 +259,7 @@ TEST(ChipPool, InferenceModelRunsWholeForward)
     ChipPool pool(
         inferencePoolConfig(1, PlacementPolicy::LeastLoaded));
     cnn::TinyCnn net(5);
-    const ModelRef model = pool.placeCnnInference(0, cnn::TinyCnn(5));
+    const ModelRef model = pool.place(0, cnn::TinyCnn(5));
     EXPECT_TRUE(pool.isInference(model));
     EXPECT_EQ(pool.modelRows(model), net.inputSize());
 
@@ -250,13 +279,13 @@ TEST(ChipPool, InferenceAffinitySharesNetworks)
     // places a fresh copy.
     ChipPool pool(inferencePoolConfig(
         2, PlacementPolicy::MatrixAffinity));
-    const ModelRef a = pool.placeCnnInference(77, cnn::TinyCnn(5));
-    const ModelRef b = pool.placeCnnInference(77, cnn::TinyCnn(5));
+    const ModelRef a = pool.place(77, cnn::TinyCnn(5));
+    const ModelRef b = pool.place(77, cnn::TinyCnn(5));
     EXPECT_EQ(a, b);
-    const ModelRef c = pool.placeCnnInference(78, cnn::TinyCnn(6));
+    const ModelRef c = pool.place(78, cnn::TinyCnn(6));
     EXPECT_NE(a, c);
     // A reused key with different weights is a configuration error.
-    EXPECT_THROW((void)pool.placeCnnInference(77, cnn::TinyCnn(9)),
+    EXPECT_THROW((void)pool.place(77, cnn::TinyCnn(9)),
                  std::runtime_error);
 }
 
@@ -264,7 +293,7 @@ TEST(ChipPool, SingleMvmCallsOnInferenceModelsAreFatal)
 {
     ChipPool pool(
         inferencePoolConfig(1, PlacementPolicy::LeastLoaded));
-    const ModelRef model = pool.placeCnnInference(0, cnn::TinyCnn(5));
+    const ModelRef model = pool.place(0, cnn::TinyCnn(5));
     EXPECT_THROW((void)pool.submit(model, std::vector<i64>(64, 0), 8),
                  std::runtime_error);
     EXPECT_THROW((void)pool.modelPlan(model), std::runtime_error);
@@ -320,31 +349,63 @@ TEST(ChipPool, CostAwarePrefersCheaperChipPerShape)
     // converts all 256 columns while the two SAR converters
     // multiplex them — ramp is the cheaper chip, and the policy
     // must pick it even though the SAR chip is less loaded.
-    const double wide_sar = pool.placementScore(0, 32, 256, 1, 1, 1);
-    const double wide_ramp = pool.placementScore(1, 32, 256, 1, 1, 1);
+    const MatrixModel wide_shape{MatrixI(32, 256), 1, 1, 1};
+    const double wide_sar = pool.placementScore(0, wide_shape);
+    const double wide_ramp = pool.placementScore(1, wide_shape);
     ASSERT_LT(wide_ramp, wide_sar);
-    const ModelRef wide = pool.placeModel(
-        0, gen.weights(WorkloadKind::GfWide, 1), 1, 1, 1);
+    const ModelRef wide = pool.place(
+        0, MatrixModel{gen.weights(WorkloadKind::GfWide, 1), 1, 1, 1});
     EXPECT_EQ(pool.modelChip(wide), 1u);
 
     // Narrow 8-bit CNN layer: 16 columns convert in 8 SAR cycles
     // but cost a near-full reference sweep per partial product on
     // the ramp chip — SAR must win.
-    const double cnn_sar = pool.placementScore(0, 72, 16, 8, 2, 4);
-    const double cnn_ramp = pool.placementScore(1, 72, 16, 8, 2, 4);
+    const MatrixModel cnn_shape{MatrixI(72, 16), 8, 2, 4};
+    const double cnn_sar = pool.placementScore(0, cnn_shape);
+    const double cnn_ramp = pool.placementScore(1, cnn_shape);
     ASSERT_LT(cnn_sar, cnn_ramp);
-    const ModelRef narrow = pool.placeModel(
-        0, gen.weights(WorkloadKind::Cnn, 1), 8, 2, 4);
+    const ModelRef narrow = pool.place(
+        0, MatrixModel{gen.weights(WorkloadKind::Cnn, 1), 8, 2, 4});
     EXPECT_EQ(pool.modelChip(narrow), 0u);
 
     // The 32x32 AES MixColumns matrix and the 64x64 projection are
     // both SAR-favoring at these design points.
-    const ModelRef aes = pool.placeModel(
-        0, gen.weights(WorkloadKind::Aes, 1), 1, 1, 1);
+    const ModelRef aes = pool.place(
+        0, MatrixModel{gen.weights(WorkloadKind::Aes, 1), 1, 1, 1});
     EXPECT_EQ(pool.modelChip(aes), 0u);
-    const ModelRef llm = pool.placeModel(
-        0, gen.weights(WorkloadKind::Llm, 1), 8, 2, 4);
+    const ModelRef llm = pool.place(
+        0, MatrixModel{gen.weights(WorkloadKind::Llm, 1), 8, 2, 4});
     EXPECT_EQ(pool.modelChip(llm), 0u);
+}
+
+TEST(ChipPool, CostAwarePlacesInferenceNetworksOnTheirCheaperChip)
+{
+    // Inference networks are scored through the same quote placement
+    // uses: the chip mapper's whole-network oracle cost. The ramp
+    // slot carries more tiles, so least-loaded alone would pick it.
+    PoolConfig cfg;
+    cfg.chips = {heteroChipSpec(analog::AdcKind::Sar, 10),
+                 heteroChipSpec(analog::AdcKind::Ramp, 16)};
+    cfg.placement = PlacementPolicy::CostAware;
+    ChipPool pool(cfg);
+    ASSERT_LT(pool.freeHcts(0), pool.freeHcts(1));
+    TrafficGen gen(14);
+    for (const bool cnn_net : {true, false}) {
+        auto net = [&]() -> ServedModel {
+            if (cnn_net)
+                return gen.cnnInferNet(1);
+            return gen.llmInferNet(2);
+        };
+        const double sar = pool.placementScore(0, net());
+        const double ramp = pool.placementScore(1, net());
+        EXPECT_GT(sar, 0.0);
+        EXPECT_GT(ramp, 0.0);
+        ASSERT_NE(sar, ramp);
+        const ModelRef model = pool.place(0, net());
+        EXPECT_TRUE(pool.isInference(model));
+        EXPECT_EQ(pool.modelChip(model), sar < ramp ? 0u : 1u)
+            << (cnn_net ? "TinyCnn" : "encoder");
+    }
 }
 
 TEST(ChipPool, CostAwareTiesFallBackToLeastLoaded)
@@ -358,10 +419,10 @@ TEST(ChipPool, CostAwareTiesFallBackToLeastLoaded)
     ChipPool pool(cfg);
     EXPECT_FALSE(pool.heterogeneous());
     TrafficGen gen(12);
-    const ModelRef a = pool.placeModel(
-        0, gen.weights(WorkloadKind::Micro, 1), 1, 1, 1);
-    const ModelRef b = pool.placeModel(
-        0, gen.weights(WorkloadKind::Micro, 2), 1, 1, 1);
+    const ModelRef a = pool.place(
+        0, MatrixModel{gen.weights(WorkloadKind::Micro, 1), 1, 1, 1});
+    const ModelRef b = pool.place(
+        0, MatrixModel{gen.weights(WorkloadKind::Micro, 2), 1, 1, 1});
     EXPECT_EQ(pool.modelChip(a), 0u);
     EXPECT_EQ(pool.modelChip(b), 1u);
 }
@@ -371,18 +432,18 @@ TEST(ChipPool, CostAwareHonoursAffinitySharing)
     ChipPool pool(mixedPoolConfig(PlacementPolicy::CostAware));
     TrafficGen gen(13);
     const MatrixI m = gen.weights(WorkloadKind::GfWide, 7);
-    const ModelRef first = pool.placeModel(7, m, 1, 1, 1);
+    const ModelRef first = pool.place(7, MatrixModel{m, 1, 1, 1});
     const std::size_t free_after =
         pool.freeHcts(pool.modelChip(first));
     // Same key: shared placement, no new tiles, same chip.
-    const ModelRef second = pool.placeModel(7, m, 1, 1, 1);
+    const ModelRef second = pool.place(7, MatrixModel{m, 1, 1, 1});
     EXPECT_EQ(first, second);
     EXPECT_EQ(pool.freeHcts(pool.modelChip(first)), free_after);
     // A reused key with different weights is fatal, as under
     // MatrixAffinity.
     EXPECT_THROW(
-        (void)pool.placeModel(7, gen.weights(WorkloadKind::GfWide, 8),
-                              1, 1, 1),
+        (void)pool.place(
+            7, MatrixModel{gen.weights(WorkloadKind::GfWide, 8), 1, 1, 1}),
         std::runtime_error);
 }
 
@@ -395,9 +456,9 @@ TEST(ChipPool, StagedInferenceChargesSumToNominal)
                                       /*hcts_per_chip=*/9));
     TrafficGen gen(31);
     const ModelRef cnn_model =
-        pool.placeCnnInference(0, gen.cnnInferNet(1));
+        pool.place(0, gen.cnnInferNet(1));
     const ModelRef llm_model =
-        pool.placeLlmInference(0, gen.llmInferNet(2));
+        pool.place(0, gen.llmInferNet(2));
 
     const std::vector<i64> cnn_input(pool.modelRows(cnn_model), 1);
     auto cnn_run = pool.beginInference(cnn_model, cnn_input, 0);
@@ -450,10 +511,11 @@ TEST(ChipPool, CostAwareBacklogPrefersSlowerIdleChip)
     TrafficGen gen(32);
 
     // Idle: the fast chip is strictly cheaper for the same shape.
-    EXPECT_LT(pool.placementScore(0, 8, 8, 1, 1, 1),
-              pool.placementScore(1, 8, 8, 1, 1, 1));
-    const ModelRef warm = pool.placeModel(
-        0, gen.weights(WorkloadKind::Micro, 1), 1, 1, 1);
+    const MatrixModel shape{MatrixI(8, 8), 1, 1, 1};
+    EXPECT_LT(pool.placementScore(0, shape),
+              pool.placementScore(1, shape));
+    const ModelRef warm = pool.place(
+        0, MatrixModel{gen.weights(WorkloadKind::Micro, 1), 1, 1, 1});
     EXPECT_EQ(pool.modelChip(warm), 0u);
 
     // Pile unexecuted work onto the fast chip's scheduler.
@@ -465,10 +527,10 @@ TEST(ChipPool, CostAwareBacklogPrefersSlowerIdleChip)
 
     // score0 = (cost/2)(1 + backlog/window) now exceeds score1 =
     // cost: queue pressure outweighs the clock advantage.
-    EXPECT_GT(pool.placementScore(0, 8, 8, 1, 1, 1),
-              pool.placementScore(1, 8, 8, 1, 1, 1));
-    const ModelRef placed = pool.placeModel(
-        0, gen.weights(WorkloadKind::Micro, 2), 1, 1, 1);
+    EXPECT_GT(pool.placementScore(0, shape),
+              pool.placementScore(1, shape));
+    const ModelRef placed = pool.place(
+        0, MatrixModel{gen.weights(WorkloadKind::Micro, 2), 1, 1, 1});
     EXPECT_EQ(pool.modelChip(placed), 1u);
 }
 
@@ -488,8 +550,8 @@ TEST(ChipPool, CostAwareBacklogMakesAssignmentOrderInsensitive)
         cfg.backlogWindowNs = 200;
         ChipPool pool(cfg);
         TrafficGen gen(33);
-        const ModelRef warm = pool.placeModel(
-            0, gen.weights(WorkloadKind::Micro, 1), 1, 1, 1);
+        const ModelRef warm = pool.place(
+            0, MatrixModel{gen.weights(WorkloadKind::Micro, 1), 1, 1, 1});
         EXPECT_EQ(pool.modelChip(warm), 0u);
         for (int i = 0; i < 8; ++i)
             (void)pool.submit(warm, std::vector<i64>(8, 1), 1);
@@ -497,9 +559,9 @@ TEST(ChipPool, CostAwareBacklogMakesAssignmentOrderInsensitive)
         const MatrixI a = gen.weights(WorkloadKind::Micro, 10);
         const MatrixI b = gen.weights(WorkloadKind::Micro, 11);
         ModelRef first =
-            pool.placeModel(0, swapped ? b : a, 1, 1, 1);
+            pool.place(0, MatrixModel{swapped ? b : a, 1, 1, 1});
         ModelRef second =
-            pool.placeModel(0, swapped ? a : b, 1, 1, 1);
+            pool.place(0, MatrixModel{swapped ? a : b, 1, 1, 1});
         if (swapped)
             std::swap(first, second);
         return std::make_pair(pool.modelChip(first),

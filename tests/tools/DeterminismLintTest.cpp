@@ -4,7 +4,8 @@
  * every seeded violation class in the fixture files, honours the
  * allowlist (file and inline forms), stays quiet on clean code, and
  * — the gating property — reports zero unallowlisted findings on the
- * real src/runtime, src/serve, and src/apps trees.
+ * real trees it scans by default (tools/determinism_lint.py
+ * SCAN_DIRS).
  *
  * The lint is a python3 script; when no python3 is on PATH (not the
  * case in CI or the dev image) the tests skip rather than fail.
@@ -149,8 +150,8 @@ TEST(DeterminismLint, AllowlistSuppressesAuditedFindings)
 TEST(DeterminismLint, RealTreeHasNoUnallowlistedFindings)
 {
     SKIP_WITHOUT_PYTHON();
-    // The acceptance bar: src/runtime, src/serve, and src/apps are
-    // clean under the checked-in allowlist.
+    // The acceptance bar: every default scan tree is clean under the
+    // checked-in allowlist.
     const LintResult r = runLint("--root " + kRoot);
     EXPECT_EQ(r.exitCode, 0) << r.output;
 }

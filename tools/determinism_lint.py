@@ -5,7 +5,9 @@ Every invariant the simulator ships — bit-identical outputs across
 pool sizes, placement policies, and admission granularities — rests
 on the code being free of hidden nondeterminism. This lint statically
 bans the sources of it in the scheduling-relevant trees
-(src/runtime, src/serve, src/apps, src/journal):
+(src/runtime, src/serve, src/apps, src/journal) and in the device
+trees every simulated result rests on (src/analog, src/hct,
+src/reram, src/digital):
 
   unordered-container   std::unordered_map / std::unordered_set (and
                         their multi variants). Iteration order is
@@ -63,7 +65,8 @@ import shutil
 import subprocess
 import sys
 
-SCAN_DIRS = ["src/runtime", "src/serve", "src/apps", "src/journal"]
+SCAN_DIRS = ["src/runtime", "src/serve", "src/apps", "src/journal",
+             "src/analog", "src/hct", "src/reram", "src/digital"]
 EXTENSIONS = (".h", ".hpp", ".cpp", ".cc", ".cxx")
 
 INLINE_ALLOW = re.compile(

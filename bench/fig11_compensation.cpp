@@ -111,7 +111,7 @@ main()
     std::printf("\n  note: in this first-order IR model the ±1 remap "
                 "cancels wire current only when the stored signs are "
                 "balanced; the sparse MixColumns matrix relies on the "
-                "compensation factor + low wire resistance instead "
-                "(see EXPERIMENTS.md).\n");
+                "compensation factor + low wire resistance "
+                "instead.\n");
     return 0;
 }

@@ -170,26 +170,6 @@ Ace::reprogramAll(const std::vector<MatrixI> &slices)
 }
 
 void
-Ace::updateRow(std::size_t row, const std::vector<i64> &values)
-{
-    if (!hasMatrix())
-        darth_fatal("Ace::updateRow: no matrix programmed");
-    matrix_.setRow(row, values);
-    // Analog updates rewrite the affected differential pairs in every
-    // slice; we re-program the owning row tile's arrays.
-    reprogramAll(sliceSignedMatrix(matrix_, elementBits_, bitsPerCell_));
-}
-
-void
-Ace::updateCol(std::size_t col, const std::vector<i64> &values)
-{
-    if (!hasMatrix())
-        darth_fatal("Ace::updateCol: no matrix programmed");
-    matrix_.setCol(col, values);
-    reprogramAll(sliceSignedMatrix(matrix_, elementBits_, bitsPerCell_));
-}
-
-void
 Ace::sumPlane(const std::vector<int> &plane_bits)
 {
     const std::size_t lanes =

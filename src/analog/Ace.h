@@ -130,12 +130,6 @@ class Ace
     void setMatrix(const MatrixI &m, int element_bits,
                    int bits_per_cell);
 
-    /** Update one row of the stored matrix (Table 1 updateRow()). */
-    void updateRow(std::size_t row, const std::vector<i64> &values);
-
-    /** Update one column of the stored matrix (Table 1 updateCol()). */
-    void updateCol(std::size_t col, const std::vector<i64> &values);
-
     /** The logically stored matrix. */
     const MatrixI &matrix() const { return matrix_; }
 

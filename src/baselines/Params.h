@@ -7,7 +7,7 @@
  * published specifications, with the offload-link constants (the
  * least-documented parameters) calibrated so the composed systems
  * land in the paper's reported ranges. Every constant is in one place
- * here so the calibration is auditable (see EXPERIMENTS.md).
+ * here so the calibration is auditable.
  */
 
 #ifndef DARTH_BASELINES_PARAMS_H

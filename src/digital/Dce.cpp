@@ -1,7 +1,5 @@
 #include "digital/Dce.h"
 
-#include <algorithm>
-
 #include "common/Logging.h"
 
 namespace darth
@@ -33,19 +31,6 @@ Dce::pipeline(std::size_t i) const
         darth_panic("Dce: pipeline ", i, " out of range ",
                     pipes_.size());
     return *pipes_[i];
-}
-
-Cycle
-Dce::execMacroAll(MacroKind kind, std::size_t first, std::size_t count,
-                 std::size_t dst, std::size_t a, std::size_t b,
-                 std::size_t bits, Cycle issue)
-{
-    Cycle done = issue;
-    for (std::size_t i = first; i < first + count; ++i)
-        done = std::max(done,
-                        pipeline(i).execMacro(kind, dst, a, b, bits,
-                                              issue));
-    return done;
 }
 
 u64

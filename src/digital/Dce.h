@@ -43,15 +43,6 @@ class Dce
     Pipeline &pipeline(std::size_t i);
     const Pipeline &pipeline(std::size_t i) const;
 
-    /**
-     * Run the same macro on a contiguous range of pipelines; they
-     * execute concurrently (each has its own issue queue), so the
-     * completion time is the max across pipelines.
-     */
-    Cycle execMacroAll(MacroKind kind, std::size_t first,
-                      std::size_t count, std::size_t dst, std::size_t a,
-                      std::size_t b, std::size_t bits, Cycle issue);
-
     /** Total in-array ops across all pipelines. */
     u64 opCount() const;
 

@@ -1,6 +1,7 @@
 #include "digital/Pipeline.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/Logging.h"
 
@@ -11,6 +12,8 @@ namespace digital
 
 Pipeline::Pipeline(const PipelineConfig &config, CostTally *tally)
     : cfg_(config), family_(config.family), tally_(tally),
+      widthMask_(config.width >= 64 ? ~u64{0}
+                                    : (u64{1} << config.width) - 1),
       stageFree_(config.depth, 0)
 {
     if (cfg_.depth == 0 || cfg_.width == 0 || cfg_.numRegs == 0)
@@ -18,9 +21,7 @@ Pipeline::Pipeline(const PipelineConfig &config, CostTally *tally)
     if (cfg_.width > 64)
         darth_fatal("Pipeline: width > 64 elements per array is not "
                     "supported by the row I/O model");
-    bits_.resize(cfg_.numRegs);
-    for (auto &reg : bits_)
-        reg.assign(cfg_.depth, BitVector(cfg_.width));
+    bits_.assign(cfg_.numRegs, std::vector<u64>(cfg_.depth, 0));
 }
 
 void
@@ -39,23 +40,26 @@ Pipeline::checkElem(std::size_t elem) const
 }
 
 void
+Pipeline::writeBits(std::size_t vr, std::size_t elem, u64 value,
+                    std::size_t lo_bit, std::size_t bits)
+{
+    const u64 row = u64{1} << elem;
+    for (std::size_t i = 0; i < bits; ++i) {
+        u64 &column = bits_[vr][lo_bit + i];
+        // A u64 value has no bits past 64: those columns get zeros.
+        if (i < 64 && ((value >> i) & 1ULL))
+            column |= row;
+        else
+            column &= ~row;
+    }
+}
+
+void
 Pipeline::setElement(std::size_t vr, std::size_t elem, u64 value)
 {
     checkReg(vr);
     checkElem(elem);
-    for (std::size_t bit = 0; bit < cfg_.depth; ++bit)
-        bits_[vr][bit].set(elem, bit < 64 && ((value >> bit) & 1ULL));
-}
-
-void
-Pipeline::setElement(std::size_t vr, std::size_t elem, u64 value,
-                     std::size_t bits)
-{
-    checkReg(vr);
-    checkElem(elem);
-    const std::size_t n = std::min(bits, cfg_.depth);
-    for (std::size_t bit = 0; bit < n; ++bit)
-        bits_[vr][bit].set(elem, bit < 64 && ((value >> bit) & 1ULL));
+    writeBits(vr, elem, value, 0, cfg_.depth);
 }
 
 namespace
@@ -115,16 +119,13 @@ Pipeline::setElements(std::size_t vr, const u64 *values,
         count >= 64 ? ~u64{0} : ((u64{1} << count) - 1);
     const std::size_t n = std::min(bits, cfg_.depth);
     for (std::size_t bit = 0; bit < n && bit < 64; ++bit) {
-        BitVector &column = bits_[vr][bit];
-        column.setWord((column.toInteger() & ~elem_mask) |
-                       (columns[bit] & elem_mask));
+        u64 &column = bits_[vr][bit];
+        column = ((column & ~elem_mask) | (columns[bit] & elem_mask)) &
+                 widthMask_;
     }
-    // A u64 value has no bits past 64: the per-element loop writes
-    // explicit zeros there, so the batch form must too.
-    for (std::size_t bit = 64; bit < n; ++bit) {
-        BitVector &column = bits_[vr][bit];
-        column.setWord(column.toInteger() & ~elem_mask);
-    }
+    // As in writeBits, columns past 64 get zeros.
+    for (std::size_t bit = 64; bit < n; ++bit)
+        bits_[vr][bit] &= ~elem_mask;
 }
 
 void
@@ -139,7 +140,7 @@ Pipeline::elements(std::size_t vr, u64 *out, std::size_t count,
     const std::size_t n =
         std::min<std::size_t>({bits, cfg_.depth, 64});
     for (std::size_t bit = 0; bit < n; ++bit)
-        columns[bit] = bits_[vr][bit].toInteger();
+        columns[bit] = bits_[vr][bit];
     u64 values[64];
     bitTranspose(columns, values);
     for (std::size_t e = 0; e < count; ++e)
@@ -155,8 +156,7 @@ Pipeline::element(std::size_t vr, std::size_t elem,
     u64 value = 0;
     const std::size_t n = std::min<std::size_t>({bits, cfg_.depth, 64});
     for (std::size_t bit = 0; bit < n; ++bit)
-        if (bits_[vr][bit].get(elem))
-            value |= 1ULL << bit;
+        value |= ((bits_[vr][bit] >> elem) & 1ULL) << bit;
     return value;
 }
 
@@ -164,17 +164,7 @@ void
 Pipeline::clearReg(std::size_t vr)
 {
     checkReg(vr);
-    for (auto &column : bits_[vr])
-        column.fill(false);
-}
-
-const BitVector &
-Pipeline::bitColumn(std::size_t vr, std::size_t bit) const
-{
-    checkReg(vr);
-    if (bit >= cfg_.depth)
-        darth_panic("Pipeline: bit ", bit, " out of range ", cfg_.depth);
-    return bits_[vr][bit];
+    std::fill(bits_[vr].begin(), bits_[vr].end(), u64{0});
 }
 
 void
@@ -243,27 +233,23 @@ Pipeline::reserveStages(std::size_t bits, Cycle issue,
 void
 Pipeline::runProgram(const KernelCache::Entry &entry, std::size_t dst,
                      std::size_t a, std::size_t b, std::size_t bits,
-                     BitVector carry_in, bool chain_carry)
+                     u64 carry, bool chain_carry)
 {
-    // A column holds at most 64 elements (enforced at construction),
-    // so the gate program evaluates on packed words — column i of
-    // every scratch register is one u64. Masking each op to the
-    // width reproduces the column-vector evaluation bit for bit.
-    const u64 width_mask =
-        cfg_.width == 64 ? ~0ULL : ((1ULL << cfg_.width) - 1);
-    u64 carry = carry_in.toInteger();
+    // Column i of every scratch register is one packed word, like
+    // the register file's; masking each op to the width keeps the
+    // elements past `width` zero.
 
     // Fast path: the compiled truth-table kernel replaces the op
     // walk with a fixed handful of word operations per bit column.
     const CompiledKernel &kernel = entry.kernel;
     if (kernel.valid) {
         for (std::size_t bit = 0; bit < bits; ++bit) {
-            const u64 wa = bits_[a][bit].toInteger();
-            const u64 wb = bits_[b][bit].toInteger();
-            const u64 out = kernel.evalResult(wa, wb, carry) & width_mask;
+            const u64 wa = bits_[a][bit];
+            const u64 wb = bits_[b][bit];
+            const u64 out = kernel.evalResult(wa, wb, carry) & widthMask_;
             if (chain_carry && kernel.hasCarry)
-                carry = kernel.evalCarry(wa, wb, carry) & width_mask;
-            bits_[dst][bit].setWord(out);
+                carry = kernel.evalCarry(wa, wb, carry) & widthMask_;
+            bits_[dst][bit] = out;
         }
         return;
     }
@@ -272,8 +258,8 @@ Pipeline::runProgram(const KernelCache::Entry &entry, std::size_t dst,
     std::vector<u64> regs(static_cast<std::size_t>(program.numRegs),
                           0ULL);
     for (std::size_t bit = 0; bit < bits; ++bit) {
-        regs[kRegA] = bits_[a][bit].toInteger();
-        regs[kRegB] = bits_[b][bit].toInteger();
+        regs[kRegA] = bits_[a][bit];
+        regs[kRegB] = bits_[b][bit];
         regs[kRegCin] = carry;
         regs[kRegZero] = 0ULL;
         for (const auto &op : program.ops) {
@@ -290,10 +276,11 @@ Pipeline::runProgram(const KernelCache::Entry &entry, std::size_t dst,
               case Prim::Not: out = ~sa; break;
               case Prim::Copy: out = sa; break;
             }
-            regs[static_cast<std::size_t>(op.dst)] = out & width_mask;
+            regs[static_cast<std::size_t>(op.dst)] = out & widthMask_;
         }
-        bits_[dst][bit].setWord(
-            regs[static_cast<std::size_t>(program.resultReg)]);
+        bits_[dst][bit] =
+            regs[static_cast<std::size_t>(program.resultReg)] &
+            widthMask_;
         if (chain_carry && program.hasCarryChain())
             carry = regs[static_cast<std::size_t>(program.carryOutReg)];
     }
@@ -324,7 +311,7 @@ Pipeline::execMacro(MacroKind kind, std::size_t dst, std::size_t a,
     const KernelCache::Entry &entry = cachedEntry(kind);
     const BitProgram &program = entry.program;
     runProgram(entry, dst, a, b, bits,
-               BitVector(cfg_.width, initialCarry(kind)),
+               initialCarry(kind) ? widthMask_ : u64{0},
                program.hasCarryChain());
     recordOps(static_cast<u64>(program.opCount()) * bits);
     return reserveStages(bits, issue, program.opCount(),
@@ -345,27 +332,6 @@ Pipeline::timeMacro(MacroKind kind, std::size_t bits, Cycle issue)
 }
 
 Cycle
-Pipeline::execSelect(std::size_t dst, std::size_t a, std::size_t b,
-                     std::size_t sel_vr, std::size_t sel_bit,
-                     std::size_t bits, Cycle issue)
-{
-    checkReg(dst);
-    checkReg(a);
-    checkReg(b);
-    checkReg(sel_vr);
-    if (bits > cfg_.depth)
-        darth_panic("Pipeline: macro over ", bits,
-                    " bits exceeds depth ", cfg_.depth);
-    const KernelCache::Entry &entry = cachedEntry(MacroKind::Mux);
-    const BitProgram &program = entry.program;
-    runProgram(entry, dst, a, b, bits, bits_[sel_vr][sel_bit], false);
-    // +1 op per stage to broadcast the select column into the stage.
-    const Cycle per_stage = program.opCount() + 1;
-    recordOps(per_stage * bits);
-    return reserveStages(bits, issue, per_stage, false);
-}
-
-Cycle
 Pipeline::execShift(std::size_t dst, std::size_t src, std::size_t k,
                     bool up, std::size_t bits, Cycle issue)
 {
@@ -375,7 +341,7 @@ Pipeline::execShift(std::size_t dst, std::size_t src, std::size_t k,
         darth_panic("Pipeline: shift over ", bits, " bits exceeds depth");
 
     // Functional: move bit columns by k positions.
-    std::vector<BitVector> out(cfg_.depth, BitVector(cfg_.width));
+    std::vector<u64> out(cfg_.depth, 0);
     for (std::size_t bit = 0; bit < bits; ++bit) {
         if (up) {
             if (bit + k < cfg_.depth)
@@ -385,8 +351,7 @@ Pipeline::execShift(std::size_t dst, std::size_t src, std::size_t k,
                 out[bit - k] = bits_[src][bit];
         }
     }
-    for (std::size_t bit = 0; bit < cfg_.depth; ++bit)
-        bits_[dst][bit] = out[bit];
+    bits_[dst] = std::move(out);
 
     // Timing: each stage reads its column into the inter-array buffer
     // and the receiving stage writes it (2 accesses per hop), flowing
@@ -394,32 +359,6 @@ Pipeline::execShift(std::size_t dst, std::size_t src, std::size_t k,
     const Cycle per_stage = 2 * std::max<std::size_t>(k, 1);
     recordOps(per_stage * bits);
     return reserveStages(bits, issue, per_stage, false);
-}
-
-Cycle
-Pipeline::execRotate(std::size_t vr, std::size_t k, std::size_t bits,
-                     Cycle issue)
-{
-    checkReg(vr);
-    if (bits == 0 || k >= bits)
-        darth_panic("Pipeline: bad rotate k=", k, " bits=", bits);
-
-    // Functional: cyclic rotate of each element's low `bits` bits.
-    std::vector<BitVector> rotated(bits, BitVector(cfg_.width));
-    for (std::size_t bit = 0; bit < bits; ++bit)
-        rotated[(bit + k) % bits] = bits_[vr][bit];
-    for (std::size_t bit = 0; bit < bits; ++bit)
-        bits_[vr][bit] = rotated[bit];
-
-    // Timing (§5.3): drain the whole pipeline, switch to reverse
-    // propagation, right-shift by (bits - k), then restore direction.
-    const Cycle drained = std::max(issue, drainTime());
-    const Cycle shift_cost = 2 * (bits - k);
-    const Cycle done = drained + cfg_.depth + shift_cost + cfg_.depth;
-    for (auto &stage : stageFree_)
-        stage = std::max(stage, done);
-    recordOps(shift_cost * bits + 2 * bits);
-    return done;
 }
 
 Cycle
@@ -431,8 +370,7 @@ Pipeline::writeRow(std::size_t vr, std::size_t elem, u64 value,
     if (lo_bit + bits > cfg_.depth)
         darth_panic("Pipeline::writeRow: bits [", lo_bit, ", ",
                     lo_bit + bits, ") exceed depth ", cfg_.depth);
-    for (std::size_t i = 0; i < bits; ++i)
-        bits_[vr][lo_bit + i].set(elem, (value >> i) & 1ULL);
+    writeBits(vr, elem, value, lo_bit, bits);
     recordIo(1);
     return when + 1;        // the DCE write port moves one row/cycle
 }
@@ -466,33 +404,6 @@ Pipeline::elementLoad(std::size_t dst, std::size_t addr_vr,
         const u64 value = table.element(entry_vr, entry_row, bits);
         setElement(dst, elem, value);
         t += 3;              // address read, table read, write-back
-        recordIo(3);
-    }
-    for (auto &stage : stageFree_)
-        stage = std::max(stage, t);
-    return t;
-}
-
-Cycle
-Pipeline::elementStore(std::size_t src, std::size_t addr_vr,
-                       Pipeline &table, std::size_t table_base_vr,
-                       std::size_t bits, Cycle issue)
-{
-    checkReg(src);
-    checkReg(addr_vr);
-    Cycle t = std::max(issue, drainTime());
-    for (std::size_t elem = 0; elem < cfg_.width; ++elem) {
-        const u64 addr = element(addr_vr, elem, bits);
-        const std::size_t entry_vr =
-            table_base_vr +
-            static_cast<std::size_t>(addr) / table.cfg_.width;
-        const std::size_t entry_row =
-            static_cast<std::size_t>(addr) % table.cfg_.width;
-        if (entry_vr >= table.cfg_.numRegs)
-            darth_panic("Pipeline::elementStore: address ", addr,
-                        " overflows the table registers");
-        table.setElement(entry_vr, entry_row, element(src, elem, bits));
-        t += 3;
         recordIo(3);
     }
     for (auto &stage : stageFree_)

@@ -23,7 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "common/BitVector.h"
 #include "common/Stats.h"
 #include "common/Types.h"
 #include "digital/KernelCache.h"
@@ -75,14 +74,6 @@ class Pipeline
     /** Write an element's integer value into a VR. */
     void setElement(std::size_t vr, std::size_t elem, u64 value);
 
-    /**
-     * Write only the low `bits` columns of an element; columns >= bits
-     * keep their previous contents. Hot-path variant for staging MVM
-     * partial products whose upper columns are already zero.
-     */
-    void setElement(std::size_t vr, std::size_t elem, u64 value,
-                    std::size_t bits);
-
     /** Read an element's integer value (low `bits` bits). */
     u64 element(std::size_t vr, std::size_t elem,
                 std::size_t bits = 64) const;
@@ -90,8 +81,7 @@ class Pipeline
     /**
      * Batch transfer: write elements 0..count-1 of a VR in one call,
      * each element's low `bits` columns taken from values[e]
-     * (elements >= count and columns >= bits keep their contents,
-     * matching a setElement(vr, e, values[e], bits) loop exactly).
+     * (elements >= count and columns >= bits keep their contents).
      * One 64x64 bit-matrix transpose on the host replaces count*bits
      * single-bit writes — the ADC-to-DCE staging hot path.
      */
@@ -108,9 +98,6 @@ class Pipeline
 
     /** Zero out a vector register. */
     void clearReg(std::size_t vr);
-
-    /** Direct access to the bit column of (vr, bit). */
-    const BitVector &bitColumn(std::size_t vr, std::size_t bit) const;
 
     // ------------------------------------------------------------------
     // Macro execution (functional + timed). All exec* methods return
@@ -134,31 +121,12 @@ class Pipeline
     Cycle timeMacro(MacroKind kind, std::size_t bits, Cycle issue);
 
     /**
-     * Per-element select: dst = sel ? b : a, where the select bit is
-     * bit `sel_bit` of register `sel_vr` (broadcast across stages).
-     * Realizes ReLU-style masking without dedicated hardware.
-     */
-    Cycle execSelect(std::size_t dst, std::size_t a, std::size_t b,
-                     std::size_t sel_vr, std::size_t sel_bit,
-                     std::size_t bits, Cycle issue);
-
-    /**
      * Logical shift of bit positions by k (up = toward MSB,
      * multiply by 2^k). Implemented with the inter-array transfer
      * buffers: two accesses per stage, chained along the pipeline.
      */
     Cycle execShift(std::size_t dst, std::size_t src, std::size_t k,
                     bool up, std::size_t bits, Cycle issue);
-
-    /**
-     * Cyclic rotation of each element's low `bits` bits by k positions
-     * toward the MSB. There is no wrap-around buffer at the pipeline
-     * head, so the hardware drains the pipeline, reverses propagation,
-     * and right-shifts (Section 5.3 ShiftRows); the cost model charges
-     * that full macro.
-     */
-    Cycle execRotate(std::size_t vr, std::size_t k, std::size_t bits,
-                     Cycle issue);
 
     // ------------------------------------------------------------------
     // Row I/O (the DCE write port: one row per cycle).
@@ -186,11 +154,6 @@ class Pipeline
     Cycle elementLoad(std::size_t dst, std::size_t addr_vr,
                       const Pipeline &table, std::size_t table_base_vr,
                       std::size_t bits, Cycle issue);
-
-    /** Element-wise scatter counterpart of elementLoad. */
-    Cycle elementStore(std::size_t src, std::size_t addr_vr,
-                       Pipeline &table, std::size_t table_base_vr,
-                       std::size_t bits, Cycle issue);
 
     /** Earliest cycle at which stage 0 can accept a new macro. */
     Cycle stage0FreeAt() const { return stageFree_.empty() ? 0
@@ -233,12 +196,19 @@ class Pipeline
      * compiled truth-table kernel when the program compiled, the
      * BitProgram interpreter otherwise (bit-identical either way).
      *
-     * @param carry        Initial carry/select column fed to kRegCin.
+     * @param carry        Initial carry column fed to kRegCin.
      * @param chain_carry  Propagate carry-out between bit positions.
      */
     void runProgram(const KernelCache::Entry &entry, std::size_t dst,
                     std::size_t a, std::size_t b, std::size_t bits,
-                    BitVector carry, bool chain_carry);
+                    u64 carry, bool chain_carry);
+
+    /**
+     * Store bits 0..bits-1 of `value` in element `elem`'s row, at
+     * columns lo_bit..lo_bit+bits-1 of register `vr` (unchecked).
+     */
+    void writeBits(std::size_t vr, std::size_t elem, u64 value,
+                   std::size_t lo_bit, std::size_t bits);
 
     void checkReg(std::size_t vr) const;
     void checkElem(std::size_t elem) const;
@@ -250,8 +220,13 @@ class Pipeline
     LogicFamily family_;
     CostTally *tally_;
 
-    /** bits_[vr][bit] = column of `width` bits. */
-    std::vector<std::vector<BitVector>> bits_;
+    /** Low `width` bits set: the valid elements of a column word. */
+    u64 widthMask_;
+    /**
+     * bits_[vr][bit] = one bit column packed into a word: bit e is
+     * element e (width <= 64 is enforced at construction).
+     */
+    std::vector<std::vector<u64>> bits_;
     std::vector<Cycle> stageFree_;
     /** entries_[kind]: resolved KernelCache entry (null until used). */
     std::vector<const KernelCache::Entry *> entries_;

@@ -48,7 +48,7 @@ HctConfig::paperDefault(analog::AdcKind adc)
     // ACE->DCE network at 8 B/cycle "chosen to rate-match ADC
     // throughput with DCE write bandwidth"; with 1-cycle SAR
     // conversions of 8-bit codes that requires 8 conversion lanes,
-    // which is the value we adopt (see EXPERIMENTS.md).
+    // which is the value we adopt.
     cfg.ace.numAdcs = adc == analog::AdcKind::Sar ? 8 : 1;
     return cfg;
 }
@@ -116,20 +116,6 @@ Hct::execMvm(const std::vector<i64> &x, int input_bits, Cycle start)
     ++mvmCount_;
 
     const std::size_t cols = ace_.matrix().cols();
-    if (!digitalEnabled_) {
-        // Raw partial products only: legal when no recombination is
-        // needed (single plane, single slice, single group).
-        if (stream.size() != 1)
-            darth_fatal("Hct::execMvm: DCE post-processing disabled "
-                        "but the stream has ", stream.size(),
-                        " partial products");
-        MvmResult result;
-        result.values = stream[0].values;
-        result.done = stream[0].readyAt;
-        arbiter_.release(result.done);
-        return result;
-    }
-
     const std::size_t width = cfg_.dce.pipeline.width;
     const std::size_t n_pipes = reductionPipes();
     const int acc_bits = accumulatorBits(input_bits);
@@ -365,29 +351,6 @@ Hct::digitalShift(std::size_t pipe, std::size_t dst, std::size_t src,
 }
 
 Cycle
-Hct::digitalRotate(std::size_t pipe, std::size_t vr, std::size_t k,
-                   std::size_t bits, Cycle start)
-{
-    const Cycle begin = arbiter_.acquire(Mode::Digital, start);
-    const Cycle done =
-        dce_.pipeline(pipe).execRotate(vr, k, bits, begin);
-    arbiter_.release(done);
-    return done;
-}
-
-Cycle
-Hct::digitalSelect(std::size_t pipe, std::size_t dst, std::size_t a,
-                   std::size_t b, std::size_t sel_vr,
-                   std::size_t sel_bit, std::size_t bits, Cycle start)
-{
-    const Cycle begin = arbiter_.acquire(Mode::Digital, start);
-    const Cycle done = dce_.pipeline(pipe).execSelect(
-        dst, a, b, sel_vr, sel_bit, bits, begin);
-    arbiter_.release(done);
-    return done;
-}
-
-Cycle
 Hct::elementLoad(std::size_t pipe, std::size_t dst, std::size_t addr_vr,
                  std::size_t table_pipe, std::size_t table_base_vr,
                  std::size_t bits, Cycle start)
@@ -398,52 +361,6 @@ Hct::elementLoad(std::size_t pipe, std::size_t dst, std::size_t addr_vr,
         begin);
     arbiter_.release(done);
     return done;
-}
-
-Cycle
-Hct::elementStore(std::size_t pipe, std::size_t src, std::size_t addr_vr,
-                  std::size_t table_pipe, std::size_t table_base_vr,
-                  std::size_t bits, Cycle start)
-{
-    const Cycle begin = arbiter_.acquire(Mode::Digital, start);
-    const Cycle done = dce_.pipeline(pipe).elementStore(
-        src, addr_vr, dce_.pipeline(table_pipe), table_base_vr, bits,
-        begin);
-    arbiter_.release(done);
-    return done;
-}
-
-Cycle
-Hct::loadVector(std::size_t pipe, std::size_t vr,
-                const std::vector<i64> &values, std::size_t bits,
-                Cycle start)
-{
-    const Cycle begin = arbiter_.acquire(Mode::Digital, start);
-    digital::Pipeline &p = dce_.pipeline(pipe);
-    const u64 mask = bits >= 64 ? ~0ULL : ((u64{1} << bits) - 1);
-    Cycle t = begin;
-    for (std::size_t e = 0; e < values.size(); ++e)
-        t = p.writeRow(vr, e, static_cast<u64>(values[e]) & mask, 0,
-                       bits, t);
-    arbiter_.release(t);
-    return t;
-}
-
-std::vector<i64>
-Hct::readVector(std::size_t pipe, std::size_t vr,
-                std::size_t bits) const
-{
-    const digital::Pipeline &p =
-        static_cast<const digital::Dce &>(dce_).pipeline(pipe);
-    std::vector<i64> out(p.config().width);
-    for (std::size_t e = 0; e < out.size(); ++e) {
-        const u64 raw = p.element(vr, e, bits);
-        i64 value = static_cast<i64>(raw);
-        if (bits < 64 && bits > 0 && ((raw >> (bits - 1)) & 1ULL))
-            value -= i64{1} << bits;
-        out[e] = value;
-    }
-    return out;
 }
 
 } // namespace hct

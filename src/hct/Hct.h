@@ -99,11 +99,7 @@ class Hct
     /** Disable the ACE; copies the matrix into DCE registers. */
     Cycle disableAnalogMode(Cycle start);
 
-    /** Disable DCE post-processing (raw partial products only). */
-    void disableDigitalMode() { digitalEnabled_ = false; }
-
     bool analogEnabled() const { return analogEnabled_; }
-    bool digitalEnabled() const { return digitalEnabled_; }
 
     // ------------------------------------------------------------------
     // Hybrid MVM (the Figure 9 walkthrough).
@@ -143,36 +139,11 @@ class Hct
                        std::size_t src, std::size_t k, bool up,
                        std::size_t bits, Cycle start);
 
-    /** Cyclic rotate (pipeline-reversal macro, §5.3). */
-    Cycle digitalRotate(std::size_t pipe, std::size_t vr, std::size_t k,
-                        std::size_t bits, Cycle start);
-
-    /** Per-element select (ReLU-style masking). */
-    Cycle digitalSelect(std::size_t pipe, std::size_t dst,
-                        std::size_t a, std::size_t b,
-                        std::size_t sel_vr, std::size_t sel_bit,
-                        std::size_t bits, Cycle start);
-
     /** Element-wise gather from a table pipeline (§4.2 extension). */
     Cycle elementLoad(std::size_t pipe, std::size_t dst,
                       std::size_t addr_vr, std::size_t table_pipe,
                       std::size_t table_base_vr, std::size_t bits,
                       Cycle start);
-
-    /** Element-wise scatter to a table pipeline. */
-    Cycle elementStore(std::size_t pipe, std::size_t src,
-                       std::size_t addr_vr, std::size_t table_pipe,
-                       std::size_t table_base_vr, std::size_t bits,
-                       Cycle start);
-
-    /** Load a vector of values into a pipeline VR via the I/O port. */
-    Cycle loadVector(std::size_t pipe, std::size_t vr,
-                     const std::vector<i64> &values, std::size_t bits,
-                     Cycle start);
-
-    /** Read a VR back as sign-extended integers. */
-    std::vector<i64> readVector(std::size_t pipe, std::size_t vr,
-                                std::size_t bits) const;
 
     /** Number of MVMs executed (stats). */
     u64 mvmCount() const { return mvmCount_; }
@@ -190,7 +161,6 @@ class Hct
     TransposeUnit transpose_;
     VACore vacore_;
     bool analogEnabled_ = true;
-    bool digitalEnabled_ = true;
     u64 mvmCount_ = 0;
 };
 

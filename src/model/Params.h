@@ -46,8 +46,7 @@ struct HctGeometry
      * ADC instances per ACE. Table 2 lists 2 SAR converters, but the
      * 8 B/cycle ACE->DCE network is "chosen to rate-match ADC
      * throughput with DCE write bandwidth" (§4), which needs 8
-     * one-cycle 8-bit conversions per cycle; we adopt 8 (see
-     * EXPERIMENTS.md for the reconciliation).
+     * one-cycle 8-bit conversions per cycle; we adopt 8.
      */
     std::size_t
     numAdcs(analog::AdcKind kind) const

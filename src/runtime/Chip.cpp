@@ -33,15 +33,5 @@ Chip::hct(std::size_t i) const
     return *hcts_[i];
 }
 
-std::vector<hct::Hct *>
-Chip::hctPointers()
-{
-    std::vector<hct::Hct *> out;
-    out.reserve(hcts_.size());
-    for (auto &h : hcts_)
-        out.push_back(h.get());
-    return out;
-}
-
 } // namespace runtime
 } // namespace darth

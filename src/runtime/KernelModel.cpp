@@ -322,43 +322,6 @@ KernelModel::multiply(std::size_t bits)
 }
 
 KernelCost
-KernelModel::elementLoad(std::size_t bits)
-{
-    KernelCost cost;
-    const std::size_t elements = cfg_.dce.pipeline.width;
-    cost.latency = 3 * elements;     // §4.2: 3 cycles per element
-    cost.amortized = cost.latency;
-    cost.energy = static_cast<double>(3 * elements) *
-                  cfg_.dce.pipeline.ioEnergyPJ;
-    (void)bits;
-    return cost;
-}
-
-KernelCost
-KernelModel::rotate(std::size_t k, std::size_t bits)
-{
-    // Rotation builds a throwaway pipeline per measurement; memoize
-    // so identical silicon constructs it once per (k, bits).
-    std::string memo_key = siliconKey_;
-    memo_key += "|rot;";
-    keyField(memo_key, "k", k);
-    keyField(memo_key, "bits", bits);
-    KernelCost memoized;
-    if (memoLookup(memo_key, &memoized))
-        return memoized;
-
-    digital::Pipeline pipe(cfg_.dce.pipeline);
-    const Cycle done = pipe.execRotate(0, k, bits, 0);
-    KernelCost cost;
-    cost.latency = done;
-    cost.amortized = done;
-    cost.energy = static_cast<double>(2 * (bits - k) * bits) *
-                  cfg_.dce.pipeline.opEnergyPJ;
-    memoPublish(memo_key, cost);
-    return cost;
-}
-
-KernelCost
 KernelModel::rowIo(std::size_t elements) const
 {
     KernelCost cost;

@@ -86,12 +86,6 @@ class KernelModel
      */
     KernelCost multiply(std::size_t bits);
 
-    /** Element-wise table load for all pipeline elements. */
-    KernelCost elementLoad(std::size_t bits);
-
-    /** Cyclic rotate macro (pipeline reversal). */
-    KernelCost rotate(std::size_t k, std::size_t bits);
-
     /** Row I/O for `elements` rows (1 cycle each). */
     KernelCost rowIo(std::size_t elements) const;
 

@@ -209,46 +209,6 @@ Runtime::placedRefLocked(int handle)
         static_cast<const Runtime *>(this)->placedRefLocked(handle));
 }
 
-void
-Runtime::updateRow(int handle, std::size_t row,
-                   const std::vector<i64> &values)
-{
-    SeqLock lock(mu_);
-    PlacedMatrix &pm = placedRefLocked(handle);
-    if (values.size() != pm.plan.cols)
-        darth_fatal("Runtime::updateRow: expected ", pm.plan.cols,
-                    " values");
-    scheduler_.drainMatrix(handle);
-    pm.matrix.setRow(row, values);
-    for (const auto &part : pm.plan.parts) {
-        if (row < part.row0 || row >= part.row0 + part.numRows)
-            continue;
-        std::vector<i64> sub(values.begin() + part.col0,
-                             values.begin() + part.col0 + part.numCols);
-        chip_.hct(part.hctIndex).ace().updateRow(row - part.row0, sub);
-    }
-}
-
-void
-Runtime::updateCol(int handle, std::size_t col,
-                   const std::vector<i64> &values)
-{
-    SeqLock lock(mu_);
-    PlacedMatrix &pm = placedRefLocked(handle);
-    if (values.size() != pm.plan.rows)
-        darth_fatal("Runtime::updateCol: expected ", pm.plan.rows,
-                    " values");
-    scheduler_.drainMatrix(handle);
-    pm.matrix.setCol(col, values);
-    for (const auto &part : pm.plan.parts) {
-        if (col < part.col0 || col >= part.col0 + part.numCols)
-            continue;
-        std::vector<i64> sub(values.begin() + part.row0,
-                             values.begin() + part.row0 + part.numRows);
-        chip_.hct(part.hctIndex).ace().updateCol(col - part.col0, sub);
-    }
-}
-
 Cycle
 Runtime::disableAnalogMode(int handle, Cycle start)
 {
@@ -261,16 +221,6 @@ Runtime::disableAnalogMode(int handle, Cycle start)
         done = std::max(done, chip_.hct(part.hctIndex)
                                   .disableAnalogMode(start));
     return done;
-}
-
-void
-Runtime::disableDigitalMode(int handle)
-{
-    SeqLock lock(mu_);
-    PlacedMatrix &pm = placedRefLocked(handle);
-    scheduler_.drainMatrix(handle);
-    for (const auto &part : pm.plan.parts)
-        chip_.hct(part.hctIndex).disableDigitalMode();
 }
 
 const MatrixPlan &

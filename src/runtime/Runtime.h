@@ -95,23 +95,12 @@ class Runtime
 
     // ------------------------------------------------------------------
     // Handle-level operations (valid for session and shim handles).
-    // All of these are barriers: in-flight MVMs against the handle
-    // are drained first.
+    // disableAnalogMode is a barrier: in-flight MVMs against the
+    // handle are drained first.
     // ------------------------------------------------------------------
-
-    /** Update one matrix row on the owning HCTs. */
-    void updateRow(int handle, std::size_t row,
-                   const std::vector<i64> &values) EXCLUDES(mu_);
-
-    /** Update one matrix column on the owning HCTs. */
-    void updateCol(int handle, std::size_t col,
-                   const std::vector<i64> &values) EXCLUDES(mu_);
 
     /** Disable the ACEs backing this matrix (copy to digital). */
     Cycle disableAnalogMode(int handle, Cycle start) EXCLUDES(mu_);
-
-    /** Disable DCE post-processing on the owning HCTs. */
-    void disableDigitalMode(int handle) EXCLUDES(mu_);
 
     /** Placement introspection. */
     const MatrixPlan &plan(int handle) const EXCLUDES(mu_);

@@ -273,30 +273,6 @@ TEST(Ace, ProgrammingCostRecorded)
     EXPECT_GT(program.energy, 0.0);
 }
 
-TEST(Ace, UpdateRowChangesMvm)
-{
-    Ace ace(smallAce());
-    MatrixI m(4, 4, 0);
-    ace.setMatrix(m, 1, 1);
-    std::vector<i64> x = {1, 1, 1, 1};
-    EXPECT_EQ(ace.referenceMvm(x), (std::vector<i64>{0, 0, 0, 0}));
-    ace.updateRow(1, {1, 1, 1, 1});
-    const auto stream = ace.execMvm(x, 1, 0);
-    EXPECT_EQ(Ace::reduceStream(stream, 4),
-              (std::vector<i64>{1, 1, 1, 1}));
-}
-
-TEST(Ace, UpdateColChangesMvm)
-{
-    Ace ace(smallAce());
-    MatrixI m(4, 4, 0);
-    ace.setMatrix(m, 1, 1);
-    ace.updateCol(2, {1, 0, 1, 0});
-    const auto stream = ace.execMvm({1, 1, 1, 1}, 1, 0);
-    EXPECT_EQ(Ace::reduceStream(stream, 4),
-              (std::vector<i64>{0, 0, 2, 0}));
-}
-
 TEST(Ace, NoisyMvmStaysClose)
 {
     AceConfig cfg = smallAce();

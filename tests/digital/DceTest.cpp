@@ -39,30 +39,23 @@ TEST(Dce, PipelinesAreIndependent)
     EXPECT_EQ(dce.pipeline(1).element(0, 0, 8), 0u);
 }
 
-TEST(Dce, ExecMacroAllRunsConcurrently)
+/** The same XOR on every pipeline, each on its own data. */
+void
+xorOnEveryPipeline(Dce &dce)
 {
-    Dce dce(smallDce());
-    for (std::size_t p = 0; p < 4; ++p) {
-        dce.pipeline(p).setElement(0, 0, 10 + p);
-        dce.pipeline(p).setElement(1, 0, 1);
+    for (std::size_t p = 0; p < dce.numPipelines(); ++p) {
+        Pipeline &pipe = dce.pipeline(p);
+        pipe.setElement(0, 0, 0xF0 + p);
+        pipe.setElement(1, 0, 0x0F);
+        pipe.execMacro(MacroKind::Xor, 2, 0, 1, 8, 0);
+        EXPECT_EQ(pipe.element(2, 0, 8), (0xF0 + p) ^ 0x0F);
     }
-    const Cycle all_done =
-        dce.execMacroAll(MacroKind::Add, 0, 4, 2, 0, 1, 8, 0);
-    for (std::size_t p = 0; p < 4; ++p)
-        EXPECT_EQ(dce.pipeline(p).element(2, 0, 8), 11 + p);
-    // Concurrent pipelines: total time equals a single pipeline's time.
-    Dce single(smallDce());
-    single.pipeline(0).setElement(0, 0, 10);
-    single.pipeline(0).setElement(1, 0, 1);
-    const Cycle one_done =
-        single.pipeline(0).execMacro(MacroKind::Add, 2, 0, 1, 8, 0);
-    EXPECT_EQ(all_done, one_done);
 }
 
 TEST(Dce, OpCountAggregates)
 {
     Dce dce(smallDce());
-    dce.execMacroAll(MacroKind::Xor, 0, 4, 2, 0, 1, 8, 0);
+    xorOnEveryPipeline(dce);
     EXPECT_EQ(dce.opCount(),
               4u * dce.pipeline(0).opCount());
 }
@@ -71,7 +64,7 @@ TEST(Dce, SharedTallyAccumulatesAcrossPipelines)
 {
     CostTally tally;
     Dce dce(smallDce(), &tally);
-    dce.execMacroAll(MacroKind::Xor, 0, 4, 2, 0, 1, 8, 0);
+    xorOnEveryPipeline(dce);
     EXPECT_EQ(tally.get("dce.boolop").events, dce.opCount());
 }
 

@@ -2,7 +2,7 @@
  * @file
  * Unit tests for the RACER pipeline: functional macro results, timing
  * behaviour (bit-pipelining, carry serialization), row I/O, shifts,
- * rotation, and the DARTH-PUM element-wise load/store extension.
+ * and the DARTH-PUM element-wise load extension.
  */
 
 #include <gtest/gtest.h>
@@ -119,18 +119,6 @@ TEST(Pipeline, IdealFamilyFasterThanOscar)
               1.8);
 }
 
-TEST(Pipeline, SelectImplementsRelu)
-{
-    // ReLU: select 0 where the sign bit (bit 15) is set.
-    Pipeline pipe(smallConfig());
-    pipe.setElement(0, 0, 0x8005);   // negative 16-bit value
-    pipe.setElement(0, 1, 0x0005);   // positive
-    pipe.clearReg(1);                // zeros
-    pipe.execSelect(2, 0, 1, 0, 15, 16, 0);
-    EXPECT_EQ(pipe.element(2, 0, 16), 0u);
-    EXPECT_EQ(pipe.element(2, 1, 16), 0x0005ull);
-}
-
 TEST(Pipeline, ShiftUpMultiplies)
 {
     Pipeline pipe(smallConfig());
@@ -155,25 +143,6 @@ TEST(Pipeline, ShiftInPlace)
     EXPECT_EQ(pipe.element(0, 0, 16), 0x0202ull);
 }
 
-TEST(Pipeline, RotatePerformsCyclicShift)
-{
-    Pipeline pipe(smallConfig());
-    pipe.setElement(0, 0, 0xABCD);
-    pipe.execRotate(0, 4, 16, 0);
-    EXPECT_EQ(pipe.element(0, 0, 16), 0xBCDAull);
-}
-
-TEST(Pipeline, RotateCostsIncludeDrain)
-{
-    // The reversal macro must drain the pipeline first (§5.3), so it
-    // is much more expensive than a plain shift.
-    Pipeline a(smallConfig());
-    const Cycle shift_done = a.execShift(1, 0, 4, true, 16, 0);
-    Pipeline b(smallConfig());
-    const Cycle rot_done = b.execRotate(0, 4, 16, 0);
-    EXPECT_GT(rot_done, shift_done);
-}
-
 TEST(Pipeline, WriteRowWithShiftUnitOffset)
 {
     // The ACE->DCE shift units place partial products pre-shifted:
@@ -181,6 +150,19 @@ TEST(Pipeline, WriteRowWithShiftUnitOffset)
     Pipeline pipe(smallConfig());
     pipe.writeRow(0, 2, 0x5, 3, 8, 0);
     EXPECT_EQ(pipe.element(0, 2, 16), 0x5ull << 3);
+}
+
+TEST(Pipeline, WriteRowPastBit64WritesZeros)
+{
+    // A u64 value has no bits past 64: a row write spanning columns
+    // 64 and up must store zeros there, not wrap the shift around.
+    PipelineConfig cfg = smallConfig();
+    cfg.depth = 128;
+    Pipeline pipe(cfg);
+    pipe.writeRow(0, 3, 1, 0, 72, 0);
+    pipe.execShift(1, 0, 64, false, 72, 0);
+    EXPECT_EQ(pipe.element(1, 3, 8), 0u);
+    EXPECT_EQ(pipe.element(0, 3, 64), 1u);
 }
 
 TEST(Pipeline, WriteRowOneCyclePerRow)
@@ -225,20 +207,6 @@ TEST(Pipeline, ElementLoadCostThreeCyclesPerElement)
     EXPECT_EQ(done, 3u * cfg.width);
 }
 
-TEST(Pipeline, ElementStoreScattersToTable)
-{
-    PipelineConfig cfg = smallConfig();
-    Pipeline table(cfg);
-    Pipeline compute(cfg);
-    for (std::size_t e = 0; e < 8; ++e) {
-        compute.setElement(0, e, e);         // addresses: identity
-        compute.setElement(1, e, 100 + e);   // data
-    }
-    compute.elementStore(1, 0, table, 2, 8, 0);
-    for (std::size_t e = 0; e < 8; ++e)
-        EXPECT_EQ(table.element(2, e, 8), 100 + e);
-}
-
 TEST(Pipeline, CostTallyRecordsOpsAndEnergy)
 {
     CostTally tally;
@@ -256,6 +224,17 @@ TEST(PipelineDeath, BadRegisterPanics)
     EXPECT_DEATH(pipe.setElement(99, 0, 0), "out of range");
     EXPECT_DEATH(pipe.execMacro(MacroKind::Add, 0, 99, 1, 8, 0),
                  "out of range");
+}
+
+TEST(PipelineDeath, ElementOutOfRangePanics)
+{
+    // checkElem is the only guard between an element index >= width
+    // and a write outside the column's valid rows.
+    Pipeline pipe(smallConfig());
+    const std::size_t width = smallConfig().width;
+    EXPECT_DEATH(pipe.setElement(0, width, 1), "out of range");
+    EXPECT_DEATH((void)pipe.element(0, width, 8), "out of range");
+    EXPECT_DEATH(pipe.writeRow(0, width, 1, 0, 8, 0), "out of range");
 }
 
 TEST(PipelineDeath, TooManyBitsPanics)

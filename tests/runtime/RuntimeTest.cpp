@@ -298,32 +298,6 @@ TEST(Runtime, MvmInputLengthMismatchThrowsInvalidArgument)
               reference(handle.matrix(), x));
 }
 
-TEST(Runtime, UpdateRowPropagates)
-{
-    Chip chip(smallChip());
-    Runtime rt(chip);
-    Session session = rt.createSession();
-    MatrixI m(4, 4, 0);
-    const MatrixHandle handle = session.setMatrix(m, 1, 0);
-    rt.updateRow(handle.id(), 2, {1, 1, 1, 1});
-    std::vector<i64> x = {0, 0, 1, 0};
-    EXPECT_EQ(session.execMVM(handle, x, 1).values,
-              (std::vector<i64>{1, 1, 1, 1}));
-}
-
-TEST(Runtime, UpdateColPropagates)
-{
-    Chip chip(smallChip());
-    Runtime rt(chip);
-    Session session = rt.createSession();
-    MatrixI m(4, 4, 0);
-    const MatrixHandle handle = session.setMatrix(m, 1, 0);
-    rt.updateCol(handle.id(), 1, {1, 0, 1, 0});
-    std::vector<i64> x = {1, 1, 1, 1};
-    EXPECT_EQ(session.execMVM(handle, x, 1).values,
-              (std::vector<i64>{0, 2, 0, 0}));
-}
-
 TEST(Runtime, DisableAnalogModeBlocksMvm)
 {
     Chip chip(smallChip());
@@ -422,10 +396,9 @@ TEST(KernelModel, MultiplyScalesWithBits)
     EXPECT_GT(m8.energy, m4.energy);
 }
 
-TEST(KernelModel, ElementLoadAndRowIo)
+TEST(KernelModel, RowIo)
 {
     KernelModel km(smallChip().hct);
-    EXPECT_EQ(km.elementLoad(8).latency, 3u * 8u);
     EXPECT_EQ(km.rowIo(5).latency, 5u);
 }
 

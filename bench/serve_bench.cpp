@@ -100,8 +100,8 @@
  *                    (`--smoke`: 100,000) pulled lazily from a
  *                    TraceStream, recorded through a non-retaining
  *                    Journal into rotating on-disk segments
- *                    (journal/Segment.h), with streaming stats only
- *                    (AdmissionConfig::retainSamples off).
+ *                    (journal/Segment.h), with the report's
+ *                    streaming histograms as its only statistics.
  *                    Self-checks, fatal like all the others: every
  *                    request completes; peak RSS of the full run is
  *                    <= 1.3x the peak of a 10x-smaller baseline run
@@ -241,11 +241,46 @@ ratePerKns(WorkloadKind kind, double load)
     return load * 1000.0 / static_cast<double>(nominalLatency(kind));
 }
 
-void
-printTenantJson(const TenantStats &t, bool last)
+/**
+ * Exact per-tenant latency (done - arrival) and queueing (start -
+ * arrival) samples in wall ns, read from a run journal's Arrival and
+ * Complete records.
+ */
+struct JournalSamples
 {
-    const SampleSummary lat = t.latencySummary();
-    const SampleSummary queue = t.queueingSummary();
+    std::vector<std::vector<double>> latency;
+    std::vector<std::vector<double>> queueing;
+};
+
+JournalSamples
+journalSamples(const journal::Journal &jr, std::size_t tenants)
+{
+    JournalSamples out;
+    out.latency.resize(tenants);
+    out.queueing.resize(tenants);
+    std::vector<WallNs> arrival;
+    for (const journal::JournalEvent &e : jr.events()) {
+        if (e.kind == journal::EventKind::Arrival) {
+            if (e.a >= arrival.size())
+                arrival.resize(e.a + 1, 0);
+            arrival[e.a] = e.cycle;
+        } else if (e.kind == journal::EventKind::Complete) {
+            const WallNs at = arrival[e.a];
+            const auto start = static_cast<WallNs>(e.values[0]);
+            out.latency[e.b].push_back(static_cast<double>(e.cycle - at));
+            out.queueing[e.b].push_back(static_cast<double>(start - at));
+        }
+    }
+    return out;
+}
+
+/** One tenant's JSON row; `lat` and `queue` summarize its latency
+ *  and queueing samples (the report's histograms, or exact samples
+ *  from the run journal). */
+void
+printTenantJson(const TenantStats &t, const SampleSummary &lat,
+                const SampleSummary &queue, bool last)
+{
     std::printf("        {\"name\": \"%s\", \"weight\": %.1f, "
                 "\"completed\": %llu, \"rejected\": %llu, "
                 "\"mvms\": %llu, "
@@ -442,12 +477,14 @@ runQosSweep(Cycle horizon)
         first = false;
         for (std::size_t t = 0; t < report.tenants.size(); ++t)
             printTenantJson(report.tenants[t],
+                            report.tenants[t].latencyHist.summary(),
+                            report.tenants[t].queueingHist.summary(),
                             t + 1 == report.tenants.size());
         std::printf("    ]}");
         if (qos == QosPolicy::WeightedFair)
             for (std::size_t t = 0; t < 3; ++t)
                 outcome.p50[t] =
-                    report.tenants[t].latencySummary().p50;
+                    report.tenants[t].latencyHist.summary().p50;
     }
     return outcome;
 }
@@ -479,18 +516,20 @@ runBackpressureSweep(Cycle horizon)
         AdmissionConfig cfg;
         cfg.queueDepth = depth;
         cfg.overflow = OverflowPolicy::Reject;
-        // The aggregate p95 below pools every raw sample across
-        // tenants, which needs the retained vectors.
-        cfg.retainSamples = true;
         cfg.threads = g_threads;
         AdmissionController ac(pool, tenants, cfg);
+        // The aggregate p95 below pools every exact sample across
+        // tenants, which the run journal holds.
+        journal::Journal jr;
+        ac.setJournal(&jr);
         const ServeReport report = ac.run(gen.trace(specs, horizon));
+        ac.setJournal(nullptr);
 
-        double p95 = 0.0;
         std::vector<double> all;
-        for (const auto &t : report.tenants)
-            all.insert(all.end(), t.latency.begin(), t.latency.end());
-        p95 = summarize(all).p95;
+        for (const std::vector<double> &lat :
+             journalSamples(jr, report.tenants.size()).latency)
+            all.insert(all.end(), lat.begin(), lat.end());
+        const double p95 = summarize(all).p95;
         const double offered = static_cast<double>(
             report.completed + report.rejected);
         std::printf("    %s{\"depth\": %zu, \"offered\": %.0f, "
@@ -559,6 +598,8 @@ runInferenceSweep(Cycle horizon)
                     pool.nominalServiceCycles(tenants[1].model, 12)));
     for (std::size_t t = 0; t < report.tenants.size(); ++t)
         printTenantJson(report.tenants[t],
+                        report.tenants[t].latencyHist.summary(),
+                        report.tenants[t].queueingHist.summary(),
                         t + 1 == report.tenants.size());
     std::printf("     ],\n");
     printCountersJson(poolCounters(pool));
@@ -566,8 +607,8 @@ runInferenceSweep(Cycle horizon)
                 timer.ms(), bench::peakRssMb());
 
     InferenceOutcomeStats out;
-    out.cnnP50 = report.tenants[0].latencySummary().p50;
-    out.llmP50 = report.tenants[1].latencySummary().p50;
+    out.cnnP50 = report.tenants[0].latencyHist.summary().p50;
+    out.llmP50 = report.tenants[1].latencyHist.summary().p50;
     out.cnnCompleted = report.tenants[0].completed;
     out.llmCompleted = report.tenants[1].completed;
     return out;
@@ -675,6 +716,8 @@ runHeteroCell(const char *pool_name,
     std::printf("     \"classes\": [\n");
     for (std::size_t t = 0; t < report.tenants.size(); ++t)
         printTenantJson(report.tenants[t],
+                        report.tenants[t].latencyHist.summary(),
+                        report.tenants[t].queueingHist.summary(),
                         t + 1 == report.tenants.size());
     std::printf("     ]}");
 
@@ -749,20 +792,25 @@ runStageLevelCell(Granularity granularity, Cycle horizon,
     cfg.qos = QosPolicy::WeightedFair;
     cfg.overflow = OverflowPolicy::Block;
     cfg.granularity = granularity;
-    // The aggregate p95 below pools raw samples across tenants.
-    cfg.retainSamples = true;
     cfg.threads = g_threads;
     AdmissionController ac(pool, tenants, cfg);
+    // The percentiles below, the aggregate p95 over every class
+    // included, are exact: they summarize the run journal's samples.
+    journal::Journal jr;
+    ac.setJournal(&jr);
     const ServeReport report = ac.run(gen.trace(specs, horizon));
+    ac.setJournal(nullptr);
+    const JournalSamples samples =
+        journalSamples(jr, report.tenants.size());
 
     StageLevelCell cell;
     cell.checksum = report.outputChecksum;
     cell.completed = report.completed;
     std::vector<double> all;
-    for (const TenantStats &t : report.tenants)
-        all.insert(all.end(), t.latency.begin(), t.latency.end());
+    for (const std::vector<double> &lat : samples.latency)
+        all.insert(all.end(), lat.begin(), lat.end());
     cell.p95 = summarize(all).p95;
-    cell.mvmP95 = report.tenants[2].latencySummary().p95;
+    cell.mvmP95 = summarize(samples.latency[2]).p95;
     for (const ChipStats &cs : report.chips) {
         cell.issued += cs.issued;
         cell.interleavedStages += cs.interleavedStages;
@@ -785,6 +833,8 @@ runStageLevelCell(Granularity granularity, Cycle horizon,
     std::printf("     \"classes\": [\n");
     for (std::size_t t = 0; t < report.tenants.size(); ++t)
         printTenantJson(report.tenants[t],
+                        summarize(samples.latency[t]),
+                        summarize(samples.queueing[t]),
                         t + 1 == report.tenants.size());
     std::printf("     ]}");
     return cell;
@@ -887,6 +937,8 @@ runJournalCell(Cycle horizon)
     std::printf("     \"classes\": [\n");
     for (std::size_t t = 0; t < rec.report.tenants.size(); ++t)
         printTenantJson(rec.report.tenants[t],
+                        rec.report.tenants[t].latencyHist.summary(),
+                        rec.report.tenants[t].queueingHist.summary(),
                         t + 1 == rec.report.tenants.size());
     std::printf("     ]}\n");
     return cell;

@@ -1,5 +1,6 @@
 #include "journal/Journal.h"
 
+#include <algorithm>
 #include <fstream>
 #include <ostream>
 #include <sstream>
@@ -23,6 +24,20 @@ constexpr char kMagic[8] = {'D', 'A', 'R', 'T', 'H', 'J', 'N', 'L'};
  *  record anyway, but only after the allocation). */
 constexpr u64 kMaxNoteBytes = u64{1} << 20;
 constexpr u64 kMaxValueWords = u64{1} << 28;
+
+/** A record body is read this many bytes at a time, so a buffer
+ *  grows only with the bytes a stream actually holds. */
+constexpr std::size_t kFrameChunkBytes = std::size_t{1} << 16;
+
+std::string
+hexU64(u64 v)
+{
+    static const char hex[] = "0123456789abcdef";
+    std::string out = "0x";
+    for (int shift = 60; shift >= 0; shift -= 4)
+        out.push_back(hex[(v >> shift) & 0xf]);
+    return out;
+}
 
 } // namespace
 
@@ -64,6 +79,30 @@ readLeU32(std::istream &in, const std::string &what)
     for (int i = 0; i < 4; ++i)
         v |= static_cast<u32>(bytes[i]) << (8 * i);
     return v;
+}
+
+u64
+readRecordFrame(std::istream &in, u64 chain, const std::string &what,
+                std::vector<unsigned char> &rec)
+{
+    const u32 len = readLeU32(in, what);
+    rec.clear();
+    while (rec.size() < len) {
+        const std::size_t have = rec.size();
+        const std::size_t chunk =
+            std::min<std::size_t>(len - have, kFrameChunkBytes);
+        rec.resize(have + chunk);
+        if (!in.read(reinterpret_cast<char *>(rec.data() + have),
+                     static_cast<std::streamsize>(chunk)))
+            throw std::runtime_error("journal: truncated " + what);
+    }
+    const u64 stored = readLeU64(in, what);
+    const u64 computed = fnv1aBytes(rec.data(), rec.size(), chain);
+    if (computed != stored)
+        throw std::runtime_error(
+            "journal: corrupt " + what + " (checksum mismatch, stored " +
+            hexU64(stored) + " computed " + hexU64(computed) + ")");
+    return stored;
 }
 
 /**
@@ -133,7 +172,7 @@ decodeEventBytes(const std::vector<unsigned char> &rec,
                   noteLen);
     pos += noteLen;
     const u32 valueCount = takeU32();
-    if (valueCount > kMaxValueWords)
+    if (valueCount > kMaxValueWords || valueCount > (rec.size() - pos) / 8)
         throw std::runtime_error("journal: malformed " + what);
     e.values.reserve(valueCount);
     for (u32 v = 0; v < valueCount; ++v)
@@ -182,16 +221,6 @@ jsonEscape(const std::string &s)
             out.push_back(ch);
         }
     }
-    return out;
-}
-
-std::string
-hexU64(u64 v)
-{
-    static const char hex[] = "0123456789abcdef";
-    std::string out = "0x";
-    for (int shift = 60; shift >= 0; shift -= 4)
-        out.push_back(hex[(v >> shift) & 0xf]);
     return out;
 }
 
@@ -320,15 +349,6 @@ Journal::chainChecksum() const
     return count_ == 0 ? journalChainBasis() : chainTail_;
 }
 
-void
-Journal::clear()
-{
-    events_.clear();
-    checksums_.clear();
-    count_ = 0;
-    chainTail_ = 0;
-}
-
 bool
 Journal::operator==(const Journal &other) const
 {
@@ -383,26 +403,14 @@ Journal::readBinary(std::istream &in)
 
     Journal out;
     u64 chain = journalChainBasis();
+    std::vector<unsigned char> rec;
     for (u64 i = 0; i < count; ++i) {
-        const u32 recLen = readLeU32(in, "record length");
-        std::vector<unsigned char> rec(recLen);
-        if (recLen > 0 &&
-            !in.read(reinterpret_cast<char *>(rec.data()), recLen))
-            throw std::runtime_error(
-                "journal: truncated record " + std::to_string(i));
-        const u64 stored = readLeU64(in, "record checksum");
-        chain = fnv1aBytes(rec.data(), rec.size(), chain);
-        if (chain != stored)
-            throw std::runtime_error(
-                "journal: corrupt record " + std::to_string(i) +
-                " (checksum mismatch, stored " + hexU64(stored) +
-                " computed " + hexU64(chain) + ")");
-
-        // Decode the verified canonical bytes.
-        out.append(
-            decodeEventBytes(rec, "record " + std::to_string(i)));
-        // append() re-derives the same chain from the same bytes, so
-        // the in-memory chain equals the verified on-disk chain.
+        const std::string what = "record " + std::to_string(i);
+        chain = readRecordFrame(in, chain, what, rec);
+        // Decode the verified canonical bytes. append() re-derives the
+        // same chain from the same bytes, so the in-memory chain
+        // equals the verified on-disk chain.
+        out.append(decodeEventBytes(rec, what));
     }
     return out;
 }

@@ -71,7 +71,8 @@ namespace journal
  *                   factory whose derivation drifted since recording
  *                   fails replay loudly.
  *   AdmissionSetup  a=queueDepth, b=qos, c=overflow, d=granularity;
- *                   values={collectOutputs, per-chip depths...}.
+ *                   values={reserved (written 0, ignored on replay),
+ *                   per-chip depths...}.
  *   TenantSetup     one per tenant: a=index, b=workload kind,
  *                   c=modelKey, d=weight bits, note=name;
  *                   values={rate bits, burst on, burst off, SLO
@@ -203,6 +204,18 @@ void appendLeU64(std::vector<unsigned char> &buf, u64 v);
 u32 readLeU32(std::istream &in, const std::string &what);
 u64 readLeU64(std::istream &in, const std::string &what);
 
+/**
+ * Read one record frame of the durable formats — u32 record length,
+ * canonical record bytes, u64 chained checksum — into `rec`, verify
+ * the checksum against the running `chain`, and return it. The body
+ * is read in bounded chunks, so a corrupt length costs memory only
+ * for the bytes the stream actually holds. Throws std::runtime_error
+ * naming `what` (the record, and the segment) when the frame is
+ * truncated or its checksum does not continue the chain.
+ */
+u64 readRecordFrame(std::istream &in, u64 chain, const std::string &what,
+                    std::vector<unsigned char> &rec);
+
 /** Admit's stage argument for whole-unit admissions. */
 constexpr u64 kNoStage = ~u64{0};
 
@@ -298,9 +311,6 @@ class Journal
      */
     void attachSink(JournalSink *sink, bool retainEvents = true);
 
-    /** True when decoded records are held in memory (the default). */
-    bool retainsEvents() const { return retain_; }
-
     /** Decoded records (std::logic_error when retention is off). */
     const std::vector<JournalEvent> &events() const;
     const JournalEvent &event(std::size_t i) const;
@@ -317,8 +327,6 @@ class Journal
      * equal chains hold byte-identical histories.
      */
     u64 chainChecksum() const;
-
-    void clear();
 
     /**
      * History equality: chain checksum and record count always;

@@ -100,7 +100,7 @@ emitHeaderRecords(const ServeRunSetup &setup,
         e.b = static_cast<u64>(ac.qos);
         e.c = static_cast<u64>(ac.overflow);
         e.d = static_cast<u64>(ac.granularity);
-        e.values.push_back(ac.collectOutputs ? i64{1} : i64{0});
+        e.values.push_back(0); // reserved
         for (std::size_t depth : ac.chipQueueDepth)
             e.values.push_back(static_cast<i64>(depth));
         jr.append(std::move(e));
@@ -269,7 +269,7 @@ parseHeaderRecords(const std::vector<JournalEvent> &ev,
         static_cast<serve::OverflowPolicy>(adm.c);
     setup.admission.granularity =
         static_cast<serve::Granularity>(adm.d);
-    setup.admission.collectOutputs = adm.values[0] != 0;
+    // values[0] is a reserved word; the per-chip depths follow it.
     setup.admission.chipQueueDepth.clear();
     for (std::size_t v = 1; v < adm.values.size(); ++v)
         setup.admission.chipQueueDepth.push_back(

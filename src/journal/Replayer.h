@@ -145,8 +145,8 @@ struct ServeRunRecord
  * Run setup's scenario once with a journal attached: generates the
  * trace from TrafficGen(setup.trafficSeed) over setup.horizon,
  * builds the pool and admission controller, and records every event.
- * The report has collectOutputs applied as configured; the journal
- * always carries the per-request outputs' checksums.
+ * The journal is the run's per-request record: each request's
+ * arrival, start, completion, and output checksum.
  */
 ServeRunRecord recordServeRun(const ServeRunSetup &setup);
 
@@ -166,8 +166,7 @@ ServeRunRecord recordServeRun(const ServeRunSetup &setup,
  * with retention off (Journal::attachSink) and the whole recording
  * path — trace, run, journal — is O(requests in flight), not
  * O(requests).
- * `jr` must be empty. Returns the run's report (streaming stats
- * only; see AdmissionConfig::retainSamples).
+ * `jr` must be empty. Returns the run's report.
  */
 serve::ServeReport recordServeRunStream(const ServeRunSetup &setup,
                                         serve::RequestSource &source,

@@ -3,8 +3,6 @@
 #include <filesystem>
 #include <stdexcept>
 
-#include "common/Fnv.h"
-
 namespace darth
 {
 namespace journal
@@ -16,10 +14,6 @@ namespace
 /** Segment file magic ("DARTHSGJ"). */
 constexpr char kSegmentMagic[8] = {'D', 'A', 'R', 'T', 'H',
                                    'S', 'G', 'J'};
-
-/** Parse-time allocation guard (the chain would flag a corrupt
- *  length anyway, but only after the allocation). */
-constexpr u64 kMaxRecordBytes = u64{1} << 30;
 
 } // namespace
 
@@ -199,10 +193,7 @@ SegmentReader::next(JournalEvent &out)
     for (;;) {
         if (!open_)
             return false;
-        unsigned char lenBytes[4];
-        in_.read(reinterpret_cast<char *>(lenBytes),
-                 sizeof(lenBytes));
-        if (in_.gcount() == 0 && in_.eof()) {
+        if (in_.peek() == std::char_traits<char>::eof()) {
             // Clean end of this segment; continue into the next
             // file if one exists.
             open_ = false;
@@ -213,27 +204,8 @@ SegmentReader::next(JournalEvent &out)
         const std::string where =
             "segment " + std::to_string(segmentIndex_ - 1) +
             " record " + std::to_string(recordIndex_);
-        if (in_.gcount() != sizeof(lenBytes))
-            throw std::runtime_error("journal: truncated " + where);
-        u32 recLen = 0;
-        for (int i = 0; i < 4; ++i)
-            recLen |= static_cast<u32>(lenBytes[i]) << (8 * i);
-        if (recLen > kMaxRecordBytes)
-            throw std::runtime_error(
-                "journal: " + where + " has absurd record length " +
-                std::to_string(recLen));
-        std::vector<unsigned char> rec(recLen);
-        if (recLen > 0 &&
-            !in_.read(reinterpret_cast<char *>(rec.data()), recLen))
-            throw std::runtime_error("journal: truncated " + where);
-        const u64 stored = readLeU64(in_, where + " checksum");
-        const u64 computed = fnv1aBytes(rec.data(), rec.size(), chain_);
-        if (computed != stored)
-            throw std::runtime_error(
-                "journal: corrupt " + where +
-                " (checksum mismatch in segment " +
-                std::to_string(segmentIndex_ - 1) + ")");
-        out = decodeEventBytes(rec, where);
+        const u64 stored = readRecordFrame(in_, chain_, where, frame_);
+        out = decodeEventBytes(frame_, where);
         chain_ = stored;
         ++recordIndex_;
         return true;

@@ -143,6 +143,8 @@ class SegmentReader
 
     std::string dir_;
     std::ifstream in_;
+    /** The last record frame's bytes (reused across records). */
+    std::vector<unsigned char> frame_;
     bool open_ = false;
     std::size_t segmentIndex_ = 0;
     std::size_t recordIndex_ = 0;

@@ -52,7 +52,8 @@ struct PlacedMatrix
     MatrixI matrix;
     MatrixPlan plan;
     bool analogEnabled = true;
-    /** Owning session (0 = the legacy blocking shim). */
+    /** Owning session (0 when placed through Runtime::placeMatrix
+     *  without one; session ids start at 1). */
     u64 session = 0;
     /** Handle index in the Runtime registry (reused after release). */
     int id = -1;

@@ -94,7 +94,7 @@ class Runtime
     std::size_t freeHcts() const EXCLUDES(mu_);
 
     // ------------------------------------------------------------------
-    // Handle-level operations (valid for session and shim handles).
+    // Handle-level operations (valid for any session's handles).
     // disableAnalogMode is a barrier: in-flight MVMs against the
     // handle are drained first.
     // ------------------------------------------------------------------
@@ -132,8 +132,7 @@ class Runtime
     /** freeHcts() body, for callers already holding the guard. */
     std::size_t freeHctsLocked() const REQUIRES(mu_);
 
-    /** Guards the placement registry and the id/uid counters. A
-     *  no-op capability until the threading work lands (see
+    /** Guards the placement registry and the id/uid counters (see
      *  common/ThreadAnnotations.h). */
     mutable SeqMutex mu_;
 

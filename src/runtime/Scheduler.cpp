@@ -145,31 +145,8 @@ Scheduler::achievableStart(const Request &req) const
 std::size_t
 Scheduler::pickNext() const
 {
-    if (dequeueHook_) {
-        std::vector<QueuedRequest> view;
-        view.reserve(queue_.size());
-        for (const auto &req : queue_) {
-            QueuedRequest q;
-            q.id = req.id;
-            q.session = req.session;
-            q.handle = req.pm->id;
-            q.earliest = req.earliest;
-            q.ready = depsReady(req);
-            // Not-ready requests sort to the back of any start-time
-            // ordering a hook applies (picking one anyway falls back
-            // to the greedy order below).
-            q.achievableStart =
-                q.ready ? achievableStart(req) : ~Cycle{0};
-            q.oracleCost = req.oracleCost;
-            view.push_back(q);
-        }
-        const std::size_t picked = dequeueHook_(view);
-        if (picked < queue_.size() && view[picked].ready)
-            return picked;
-        // Out-of-range or not-ready pick: fall through to the greedy
-        // default (the oldest queued request is always ready, since
-        // its dependencies are strictly older and out of the queue).
-    }
+    if (drainOrder_ == DrainOrder::Submission)
+        return 0;
     std::size_t best = queue_.size();
     Cycle best_start = 0;
     for (std::size_t i = 0; i < queue_.size(); ++i) {
@@ -189,22 +166,10 @@ Scheduler::pickNext() const
 }
 
 void
-Scheduler::setDequeueHook(DequeueHook hook)
+Scheduler::setDrainOrder(DrainOrder order)
 {
     SeqLock lock(mu_);
-    dequeueHook_ = std::move(hook);
-}
-
-DequeueHook
-Scheduler::submissionOrderHook()
-{
-    return [](const std::vector<QueuedRequest> &queue) {
-        std::size_t best = 0;
-        for (std::size_t i = 1; i < queue.size(); ++i)
-            if (queue[i].id < queue[best].id)
-                best = i;
-        return best;
-    };
+    drainOrder_ = order;
 }
 
 SchedulerCounters

@@ -17,9 +17,9 @@
  * waitAll()/barrier), always in a deterministic greedy order —
  * earliest achievable start first, submission order as tiebreak — so
  * results and timings are reproducible regardless of wait order.
- * A pluggable dequeue hook (setDequeueHook) lets a serving front end
- * override the greedy order, e.g. to drain strictly in admission
- * order (see src/serve/Admission.h).
+ * A serving front end can switch a scheduler to submission order
+ * instead (setDrainOrder), so drains follow its admission order (see
+ * src/serve/Admission.h).
  *
  * A submit may name `after` dependencies — futures of earlier
  * requests whose done cycles feed the request's `earliest` bound.
@@ -38,7 +38,6 @@
 #define DARTH_RUNTIME_SCHEDULER_H
 
 #include <cstddef>
-#include <functional>
 #include <map>
 #include <vector>
 
@@ -80,30 +79,6 @@ class MvmFuture
     const Scheduler *owner_ = nullptr;
 };
 
-/** Public view of one queued request, offered to dequeue hooks. */
-struct QueuedRequest
-{
-    RequestId id = 0;
-    /** Session that submitted the request. */
-    u64 session = 0;
-    /** Registry id of the target placement. */
-    int handle = -1;
-    /** Lower bound on the start cycle given at submit. */
-    Cycle earliest = 0;
-    /** Earliest start the request could achieve right now; the max
-     *  Cycle value while not ready, so start-sorting hooks never
-     *  prefer a dependency-blocked request. */
-    Cycle achievableStart = 0;
-    /**
-     * KernelModel oracle latency of this MVM (worst placement part),
-     * stamped at submit so dequeue hooks and the admission layer can
-     * charge cost without re-deriving it from shape lookups.
-     */
-    Cycle oracleCost = 0;
-    /** False while an `after` dependency is still unexecuted. */
-    bool ready = true;
-};
-
 /** Lifetime counters of one scheduler (serving telemetry). */
 struct SchedulerCounters
 {
@@ -128,13 +103,17 @@ struct SchedulerCounters
     u64 kernelCacheMisses = 0;
 };
 
-/**
- * Picks the index (into the queue view) of the next request to
- * execute. Returning an index >= the view size falls back to the
- * greedy earliest-start default for that pick.
- */
-using DequeueHook =
-    std::function<std::size_t(const std::vector<QueuedRequest> &)>;
+/** The order in which a scheduler drains its queue. */
+enum class DrainOrder
+{
+    /** Greedy: earliest achievable start first among
+     *  dependency-ready requests, submission order as tiebreak. */
+    EarliestStart,
+    /** Strictly by submission (RequestId). The oldest queued request
+     *  is always dependency-ready, since its dependencies are older
+     *  and already out of the queue. */
+    Submission,
+};
 
 /** Result of one MVM request. */
 struct MvmResult
@@ -150,10 +129,9 @@ struct MvmResult
 /**
  * Packs queued MVM requests onto free HCTs.
  *
- * Thread-safety contract (enforced by clang -Wthread-safety, a no-op
- * at runtime until the per-chip worker threads land): every queue,
- * timing table, and counter is GUARDED_BY(mu_); public entry points
- * take the lock, private helpers REQUIRE it. See
+ * Thread-safety contract (checked by clang -Wthread-safety): every
+ * queue, timing table, and counter is GUARDED_BY(mu_); public entry
+ * points take the lock, private helpers REQUIRE it. See
  * common/ThreadAnnotations.h.
  */
 class Scheduler
@@ -225,20 +203,10 @@ class Scheduler
     }
 
     /**
-     * Submission-queue depth: synonym of pendingCount(), named for
-     * the admission layer that uses it as its backpressure signal.
-     */
-    std::size_t queueDepth() const EXCLUDES(mu_)
-    {
-        SeqLock lock(mu_);
-        return queue_.size();
-    }
-
-    /**
      * Queue pressure in cycles, not counts: the summed KernelModel
      * oracle latency of every queued-but-unexecuted request. A queue
      * of three wide GF(2) banks and a queue of three whole-layer CNN
-     * streams have the same queueDepth() but very different
+     * streams have the same pendingCount() but very different
      * backlogCycles(); the pool's load-aware CostAware placement
      * scores chips by this (see ChipPool::placementScore).
      */
@@ -252,17 +220,11 @@ class Scheduler
     std::size_t pendingRequests(u64 session) const EXCLUDES(mu_);
 
     /**
-     * Install (or, with a null hook, remove) a dequeue-order
-     * override. The hook sees a snapshot of the queue and names the
-     * request to execute next; timings still honour per-tile
-     * busy-until packing, so the hook reorders service, it does not
-     * bypass contention. The default (no hook) is the greedy
-     * earliest-achievable-start order.
+     * Select the drain order (DrainOrder::EarliestStart by default).
+     * Timings still honour per-tile busy-until packing, so the order
+     * reorders service, it does not bypass contention.
      */
-    void setDequeueHook(DequeueHook hook) EXCLUDES(mu_);
-
-    /** A hook that drains strictly in submission (RequestId) order. */
-    static DequeueHook submissionOrderHook();
+    void setDrainOrder(DrainOrder order) EXCLUDES(mu_);
 
     /** Requests executed over the scheduler's lifetime. */
     u64 completedCount() const EXCLUDES(mu_)
@@ -279,8 +241,8 @@ class Scheduler
 
     /**
      * KernelModel oracle latency of one MVM against a placement plan
-     * (the worst part) — the per-request cost stamped on
-     * QueuedRequest and the serving layer's nominal WFQ charge.
+     * (the worst part) — the per-request cost backlogCycles() sums
+     * and the serving layer's nominal WFQ charge.
      * Cached per shape.
      */
     Cycle oracleCost(const MatrixPlan &plan, int input_bits)
@@ -312,7 +274,7 @@ class Scheduler
         u64 session = 0;
         /** Requests that must complete before this one starts. */
         std::vector<RequestId> deps;
-        /** Oracle latency stamped at submit (see QueuedRequest). */
+        /** Oracle latency stamped at submit (see oracleCost()). */
         Cycle oracleCost = 0;
     };
 
@@ -335,8 +297,7 @@ class Scheduler
     /** Earliest start the request could achieve right now. */
     Cycle achievableStart(const Request &req) const REQUIRES(mu_);
 
-    /** Index of the next request to run (greedy min-start among
-     *  dependency-ready requests; a hook may reorder within them). */
+    /** Index of the next request to run under drainOrder_. */
     std::size_t pickNext() const REQUIRES(mu_);
 
     /** Execute queue_[index] and record its result. */
@@ -349,15 +310,13 @@ class Scheduler
     /** makespan() body, for callers already holding the lock. */
     Cycle makespanLocked() const REQUIRES(mu_);
 
-    /** Guards every queue, timing table, and counter below. A no-op
-     *  capability today (single-threaded); the per-chip threading
-     *  work swaps it for a real mutex without touching call sites. */
+    /** Guards every queue, timing table, and counter below. */
     mutable SeqMutex mu_;
 
     Chip &chip_;
     /** Mutable per-shape cost cache (oracleCost). */
     KernelModel kernels_ GUARDED_BY(mu_);
-    DequeueHook dequeueHook_ GUARDED_BY(mu_);
+    DrainOrder drainOrder_ GUARDED_BY(mu_) = DrainOrder::EarliestStart;
     std::vector<Request> queue_ GUARDED_BY(mu_);
     std::map<RequestId, CompletedRequest> results_ GUARDED_BY(mu_);
     std::vector<Cycle> busyUntil_ GUARDED_BY(mu_);

@@ -154,8 +154,8 @@ class Session
     /** Throw std::invalid_argument if the session was released. */
     void requireLive(const char *what) const REQUIRES(mu_);
 
-    /** Guards the liveness state against a future teardown/submit
-     *  race; a no-op capability until the threading work lands. */
+    /** Guards the liveness state against a concurrent
+     *  teardown/submit race. */
     mutable SeqMutex mu_;
 
     Runtime *rt_ GUARDED_BY(mu_);

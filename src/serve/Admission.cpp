@@ -38,18 +38,6 @@ qosPolicyName(QosPolicy policy)
 }
 
 const char *
-overflowPolicyName(OverflowPolicy policy)
-{
-    switch (policy) {
-      case OverflowPolicy::Block:
-        return "block";
-      case OverflowPolicy::Reject:
-        return "reject";
-    }
-    darth_panic("overflowPolicyName: unknown policy");
-}
-
-const char *
 granularityName(Granularity granularity)
 {
     switch (granularity) {
@@ -243,15 +231,12 @@ class RequestTable
 
     void push(LiveRequest entry) { live_.push_back(std::move(entry)); }
 
-    /** Fold resolved requests out of the front, collecting their
-     *  outputs into `outputs` when non-null. */
+    /** Fold resolved requests out of the front. */
     void
-    fold(std::vector<std::vector<i64>> *outputs)
+    fold()
     {
         while (!live_.empty() && live_.front().resolved) {
             hash_ = fnv1aWords(live_.front().values, hash_);
-            if (outputs != nullptr)
-                outputs->push_back(std::move(live_.front().values));
             live_.pop_front();
             ++base_;
         }
@@ -911,7 +896,7 @@ class ServeEngine
             }
             if (batched_)
                 runBatch(begin, pulled_);
-            table_.fold(outputs());
+            table_.fold();
             relieveLive();
         }
         // Remaining lifecycle (late departures, wind-down ticks), then
@@ -1022,7 +1007,7 @@ class ServeEngine
             if (w.notWaited.empty() || w.notWaited.front().isStage)
                 return;
             materializeFront(c);
-            table_.fold(outputs());
+            table_.fold();
         }
     }
 
@@ -1051,7 +1036,7 @@ class ServeEngine
     void
     finish()
     {
-        table_.fold(outputs());
+        table_.fold();
         if (!table_.empty())
             darth_panic("AdmissionController: ", table_.size(),
                         " requests left unresolved after the tail drain");
@@ -1319,12 +1304,6 @@ class ServeEngine
         const double latency_ns = static_cast<double>(done - req.arrival);
         const double queueing_ns = static_cast<double>(start - req.arrival);
         const double service_ns = static_cast<double>(done - start);
-        if (cfg_.retainSamples) {
-            stats.latency.push_back(latency_ns);
-            stats.queueing.push_back(queueing_ns);
-            stats.service.push_back(service_ns);
-            stats.doneNs.push_back(static_cast<double>(done));
-        }
         stats.latencyHist.push(latency_ns);
         stats.queueingHist.push(queueing_ns);
         stats.serviceHist.push(service_ns);
@@ -1343,12 +1322,6 @@ class ServeEngine
     {
         if (timeline_)
             timeline_->release(m, at);
-    }
-
-    std::vector<std::vector<i64>> *
-    outputs()
-    {
-        return cfg_.collectOutputs ? &report_.outputs : nullptr;
     }
 
     ChipPool &pool_;
@@ -1410,8 +1383,8 @@ AdmissionController::AdmissionController(ChipPool &pool,
     // Serving drains are strictly admission-ordered: QoS is decided
     // here, not re-decided by the packer's greedy order.
     for (std::size_t c = 0; c < pool_.numChips(); ++c)
-        pool_.runtime(c).scheduler().setDequeueHook(
-            runtime::Scheduler::submissionOrderHook());
+        pool_.runtime(c).scheduler().setDrainOrder(
+            runtime::DrainOrder::Submission);
 }
 
 AdmissionController::AdmissionController(ChipPool &pool,

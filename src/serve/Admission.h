@@ -43,9 +43,9 @@
  * Admission order, not scheduler drain order, is what carries QoS:
  * an admitted request's `earliest` bound is its admission instant,
  * so holding a request back delays it in simulated time. The
- * controller additionally installs the scheduler's submission-order
- * dequeue hook on every chip so drains service strictly in
- * admission order instead of the greedy earliest-start order.
+ * controller additionally sets every chip's scheduler to
+ * DrainOrder::Submission, so drains service strictly in admission
+ * order instead of the greedy earliest-start order.
  *
  * Time here is wall-clock nanoseconds (common/Types.h WallNs):
  * chips are independent cycle domains, and every per-chip cycle
@@ -118,8 +118,6 @@ enum class OverflowPolicy
     Reject,
 };
 
-const char *overflowPolicyName(OverflowPolicy policy);
-
 /**
  * The unit of admission for whole-inference tenants.
  *
@@ -164,22 +162,6 @@ struct AdmissionConfig
     OverflowPolicy overflow = OverflowPolicy::Block;
     /** Admission unit for inference tenants (see Granularity). */
     Granularity granularity = Granularity::Inference;
-    /** Keep every request's output vector in the report
-     *  (ServeReport::outputs, O(requests) memory), for run() and
-     *  runStream() alike: outputs are collected in request order as
-     *  they fold out of the request table. */
-    bool collectOutputs = false;
-    /**
-     * Retain the per-request latency/queueing/service/doneNs sample
-     * vectors in TenantStats (O(requests) memory). Off by default:
-     * the streaming histograms and exact aggregates
-     * (TenantStats::latencyHist etc.) are always filled and are the
-     * O(1)-memory report surface; tests that assert on raw samples
-     * opt back in. Host-only knob — like `threads`, deliberately
-     * NOT recorded in the journal (it changes no event and no exact
-     * quantity).
-     */
-    bool retainSamples = false;
     /**
      * Host worker threads for static pools (<= 1 runs every request
      * inline in arrival order). Chips are isolated Runtime instances
@@ -292,13 +274,13 @@ class AdmissionController
      * Run a pull-based request stream to completion. Requests are
      * pulled from `source` in arrival order into a request table,
      * held only while in flight, and folded out of the table front in
-     * request order — into ServeReport::outputChecksum, and into
-     * ServeReport::outputs under collectOutputs. Memory is the run's
-     * concurrency, not its length: when the table outgrows an
-     * internal bound, admitted units at its front are resolved
-     * early, which can only reorder journal records — identically
-     * for every source and thread count — on runs with more than
-     * 65536 concurrently-live requests.
+     * request order into ServeReport::outputChecksum; per-request
+     * facts live only in the attached journal (setJournal). Memory
+     * is the run's concurrency, not its length: when the table
+     * outgrows an internal bound, admitted units at its front are
+     * resolved early, which can only reorder journal records —
+     * identically for every source and thread count — on runs with
+     * more than 65536 concurrently-live requests.
      *
      * Every request is checked as it is pulled: one naming an unknown
      * tenant, arriving before its predecessor, or (fleet runs)

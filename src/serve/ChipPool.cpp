@@ -707,7 +707,7 @@ ChipPool::nominalServiceCycles(ModelRef model, int input_bits)
     if (m.inference != nullptr)
         return m.inference->oracleCost;
     // The owning chip's scheduler caches kernel oracle measurements;
-    // QueuedRequest carries the same per-request cost.
+    // its backlogCycles() sums the same per-request cost.
     return runtimes_[m.chip]->scheduler().oracleCost(m.handle.plan(),
                                                      input_bits);
 }
@@ -746,15 +746,6 @@ ChipPool::freeHcts(std::size_t chip) const
         darth_panic("ChipPool::freeHcts: chip ", chip,
                     " out of range ", runtimes_.size());
     return runtimes_[chip]->freeHcts();
-}
-
-std::size_t
-ChipPool::queueDepth(std::size_t chip) const
-{
-    if (chip >= runtimes_.size())
-        darth_panic("ChipPool::queueDepth: chip ", chip,
-                    " out of range ", runtimes_.size());
-    return runtimes_[chip]->scheduler().queueDepth();
 }
 
 Cycle

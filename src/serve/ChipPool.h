@@ -407,9 +407,6 @@ class ChipPool
     /** Free tiles on one chip. */
     std::size_t freeHcts(std::size_t chip) const;
 
-    /** Scheduler queue depth of one chip (backpressure signal). */
-    std::size_t queueDepth(std::size_t chip) const;
-
     /** Scheduler backlog of one chip in cycles (see
      *  Scheduler::backlogCycles). */
     Cycle backlogCycles(std::size_t chip) const;
@@ -557,8 +554,8 @@ class ChipPool
     std::vector<std::unique_ptr<cnn::CnnMapper>> cnnMappers_;
     std::vector<std::unique_ptr<llm::LlmMapper>> llmMappers_;
 
-    /** Guards the mutable placement tables below. A no-op capability
-     *  until the threading work lands (common/ThreadAnnotations.h). */
+    /** Guards the mutable placement tables below
+     *  (common/ThreadAnnotations.h). */
     mutable SeqMutex mu_;
 
     std::vector<Model> models_ GUARDED_BY(mu_);

@@ -1,16 +1,19 @@
 /**
  * @file
- * Serving-cluster telemetry: per-tenant latency/throughput samples
- * and the report an AdmissionController run produces.
+ * Serving-cluster telemetry: per-tenant and per-chip aggregates and
+ * latency distributions, the report an AdmissionController run
+ * produces. Per-request facts are not kept here: the run journal
+ * (AdmissionController::setJournal) records each request's arrival,
+ * start, completion, and output checksum.
  *
  * Latencies are recorded in wall-clock nanoseconds relative to each
  * request's open-loop arrival: queueing = start - arrival (admission
  * wait plus scheduler wait), latency = done - arrival (queueing plus
  * service). Per-chip cycle stamps are converted through the owning
  * chip's clock at the admission boundary, so every number here is
- * comparable across a mixed-clock pool. Percentiles come from the
- * common/Stats nearest-rank helper, so serve_bench JSON and the unit
- * tests agree on the definition.
+ * comparable across a mixed-clock pool. Percentiles come from
+ * common/Stats's StreamingHistogram, nearest-rank within one bucket
+ * width.
  */
 
 #ifndef DARTH_SERVE_SERVESTATS_H
@@ -43,34 +46,16 @@ struct TenantStats
      * single-MVM kinds; for inference tenants each completed request
      * contributes its whole forward's stream count, so
      * mvms / completed is the per-inference MVM footprint and the
-     * latency samples below are *per-inference* latencies.
+     * latency distributions below are *per-inference* latencies.
      */
     u64 mvms = 0;
 
     /**
-     * Retained per-request samples, filled only when
-     * AdmissionConfig::retainSamples — million-request runs keep
-     * memory flat by relying on the histograms below instead.
-     * done - arrival per completed request in wall ns, in
-     * completion order.
-     */
-    std::vector<double> latency;
-    /** start - arrival per completed request in wall ns (time not
-     *  being serviced: admission blocking plus tile contention).
-     *  Retained-samples only. */
-    std::vector<double> queueing;
-    /** done - start per completed request in wall ns (pure
-     *  service). Retained-samples only. */
-    std::vector<double> service;
-    /** Completion wall time per completed request, ns.
-     *  Retained-samples only. */
-    std::vector<double> doneNs;
-
-    /**
-     * O(1)-memory streaming distributions, always filled (whether or
-     * not samples are retained): exact count/sum/min/max plus
-     * percentiles accurate to one bucket width. Same sample streams
-     * as the vectors above.
+     * O(1)-memory streaming distributions in wall ns, pushed in
+     * completion order: exact count/sum/min/max plus percentiles
+     * accurate to one bucket width. latency = done - arrival,
+     * queueing = start - arrival (admission blocking plus tile
+     * contention), service = done - start.
      */
     StreamingHistogram latencyHist;
     StreamingHistogram queueingHist;
@@ -82,31 +67,6 @@ struct TenantStats
     /** Error-budget burn against the tenant's SLO (inert when the
      *  tenant's spec left the SLO disabled; see serve/Slo.h). */
     SloStats slo;
-
-    /** Completions with done <= ns (windowed share under
-     *  saturation, where the end-of-trace drain would otherwise
-     *  flatten every class to its submitted count). */
-    u64
-    completionsBy(WallNs ns) const
-    {
-        u64 count = 0;
-        for (double d : doneNs)
-            count += d <= static_cast<double>(ns);
-        return count;
-    }
-
-    /** Exact summary from retained samples when available, else the
-     *  streaming histogram's (percentiles within one bucket). */
-    SampleSummary latencySummary() const
-    {
-        return latency.empty() ? latencyHist.summary()
-                               : summarize(latency);
-    }
-    SampleSummary queueingSummary() const
-    {
-        return queueing.empty() ? queueingHist.summary()
-                                : summarize(queueing);
-    }
 };
 
 /** Telemetry of one pool chip over a trace (heterogeneity view). */
@@ -221,9 +181,6 @@ struct ServeReport
     /** FNV-1a over every completed request's output values, in trace
      *  order — a cheap cross-configuration identity check. */
     u64 outputChecksum = 0;
-    /** Per-request outputs (trace order; empty vectors for rejected
-     *  requests). Filled only when AdmissionConfig::collectOutputs. */
-    std::vector<std::vector<i64>> outputs;
 
     /** Aggregate completed requests per microsecond of makespan. */
     double throughputPerKns() const

@@ -400,61 +400,25 @@ TEST(Scheduler, QueueDepthAndPendingRequestsTrackSessions)
         tenant_a.setMatrix(randomMatrix(8, 8, 0, 1, 525), 1, 0);
     const MatrixHandle handle_b =
         tenant_b.setMatrix(randomMatrix(8, 8, 0, 1, 521), 1, 0);
-    EXPECT_EQ(rt.scheduler().queueDepth(), 0u);
+    EXPECT_EQ(rt.scheduler().pendingCount(), 0u);
     (void)tenant_a.submit(handle_a1, std::vector<i64>(8, 1), 1);
     (void)tenant_a.submit(handle_a2, std::vector<i64>(8, 1), 1);
     (void)tenant_b.submit(handle_b, std::vector<i64>(8, 1), 1);
-    EXPECT_EQ(rt.scheduler().queueDepth(), 3u);
-    EXPECT_EQ(rt.scheduler().queueDepth(),
-              rt.scheduler().pendingCount());
+    EXPECT_EQ(rt.scheduler().pendingCount(), 3u);
     EXPECT_EQ(rt.scheduler().pendingRequests(tenant_a.id()), 2u);
     EXPECT_EQ(rt.scheduler().pendingRequests(tenant_b.id()), 1u);
     EXPECT_EQ(rt.scheduler().pendingRequests(999), 0u);
     tenant_a.waitAll();
     EXPECT_EQ(rt.scheduler().pendingRequests(tenant_a.id()), 0u);
-    EXPECT_EQ(rt.scheduler().queueDepth(), 1u);
+    EXPECT_EQ(rt.scheduler().pendingCount(), 1u);
     EXPECT_EQ(rt.scheduler().pendingRequests(tenant_b.id()), 1u);
-}
-
-TEST(Scheduler, DequeueHookOverridesGreedyOrder)
-{
-    // Two queued requests on disjoint tiles: the greedy default
-    // executes the first-submitted one when resolving it; a hook that
-    // picks the newest id executes the other one first instead.
-    auto run_case = [](bool install_hook) {
-        Chip chip(smallChip(2));
-        Runtime rt(chip);
-        if (install_hook)
-            rt.scheduler().setDequeueHook(
-                [](const std::vector<QueuedRequest> &queue) {
-                    std::size_t best = 0;
-                    for (std::size_t i = 1; i < queue.size(); ++i)
-                        if (queue[i].id > queue[best].id)
-                            best = i;
-                    return best;
-                });
-        Session session = rt.createSession();
-        const MatrixHandle a =
-            session.setMatrix(randomMatrix(8, 8, 0, 1, 522), 1, 0);
-        const MatrixHandle b =
-            session.setMatrix(randomMatrix(8, 8, 0, 1, 523), 1, 0);
-        const MvmFuture fa =
-            session.submit(a, std::vector<i64>(8, 1), 1);
-        (void)session.submit(b, std::vector<i64>(8, 1), 1);
-        (void)session.wait(fa);
-        // Greedy: only `fa` has executed, `fb` is still queued.
-        // Newest-first hook: `fb` executed on the way to `fa`.
-        return rt.scheduler().uncollectedCount();
-    };
-    EXPECT_EQ(run_case(false), 0u);
-    EXPECT_EQ(run_case(true), 1u);
 }
 
 TEST(Scheduler, SubmissionOrderHookKeepsFifoTimingUnderEarliest)
 {
     // A same-matrix stream submitted out of earliest order: the
     // greedy packer would run the unconstrained request first; the
-    // submission-order hook serves strictly in submission order, so
+    // submission drain order serves strictly in submission order, so
     // the later-submitted request pays the pipeline spacing.
     const auto cfg = smallChip(1);
     KernelModel km(cfg.hct);
@@ -462,7 +426,7 @@ TEST(Scheduler, SubmissionOrderHookKeepsFifoTimingUnderEarliest)
 
     Chip chip(cfg);
     Runtime rt(chip);
-    rt.scheduler().setDequeueHook(Scheduler::submissionOrderHook());
+    rt.scheduler().setDrainOrder(DrainOrder::Submission);
     Session session = rt.createSession();
     const MatrixHandle handle =
         session.setMatrix(randomMatrix(8, 8, 0, 1, 524), 1, 0);
@@ -632,43 +596,6 @@ TEST(Scheduler, CountersTrackPipelineHitsAndDependencyStalls)
     (void)session.wait(fb);
     EXPECT_EQ(rt.scheduler().counters().issued, 4u);
     EXPECT_EQ(rt.scheduler().counters().dependencyStalls, 1u);
-}
-
-TEST(Scheduler, QueuedRequestViewCarriesOracleCostAndReadiness)
-{
-    const auto cfg = smallChip(2);
-    Chip chip(cfg);
-    Runtime rt(chip);
-    Session session = rt.createSession();
-    const MatrixHandle a =
-        session.setMatrix(randomMatrix(8, 8, 0, 1, 538), 1, 0);
-    const MatrixHandle b =
-        session.setMatrix(randomMatrix(8, 8, 0, 1, 539), 1, 0);
-
-    // Capture the queue view the first time the hook fires, then
-    // fall back to the greedy order (out-of-range pick).
-    std::vector<QueuedRequest> seen;
-    rt.scheduler().setDequeueHook(
-        [&seen](const std::vector<QueuedRequest> &queue) {
-            if (seen.empty())
-                seen = queue;
-            return queue.size();
-        });
-
-    const MvmFuture fa = session.submit(a, std::vector<i64>(8, 1), 2);
-    (void)session.submit(b, std::vector<i64>(8, 1), 2, 0, {fa});
-    session.waitAll();
-
-    ASSERT_EQ(seen.size(), 2u);
-    // The dependency-free request is ready; the dependent one is not
-    // until its dependency executes.
-    EXPECT_TRUE(seen[0].ready);
-    EXPECT_FALSE(seen[1].ready);
-    // Both carry the KernelModel oracle latency of their shape.
-    KernelModel km(cfg.hct);
-    const Cycle oracle = km.mvm(MvmShape{8, 8, 1, 1, 2}).latency;
-    EXPECT_EQ(seen[0].oracleCost, oracle);
-    EXPECT_EQ(seen[1].oracleCost, oracle);
 }
 
 TEST(Scheduler, BacklogCyclesTracksQueuedOracleWork)

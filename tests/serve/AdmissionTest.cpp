@@ -15,6 +15,9 @@
 
 #include <gtest/gtest.h>
 
+#include "RunRecords.h"
+#include "common/Fnv.h"
+#include "common/Stats.h"
 #include "serve/Admission.h"
 #include "serve/ChipConfig.h"
 #include "serve/ChipPool.h"
@@ -27,6 +30,9 @@ namespace serve
 {
 namespace
 {
+
+using test::RecordedRun;
+using test::runRecorded;
 
 runtime::ChipConfig
 smallChip(std::size_t num_hcts = 4)
@@ -100,7 +106,6 @@ TEST(Admission, RejectDropsWhenWindowFullBlockDoesNot)
         burst.push_back(microRequest(0, 0));
 
     AdmissionConfig cfg;
-    cfg.retainSamples = true;
     cfg.queueDepth = 2;
     cfg.overflow = OverflowPolicy::Reject;
     {
@@ -117,11 +122,11 @@ TEST(Admission, RejectDropsWhenWindowFullBlockDoesNot)
         ChipPool pool(poolConfig(1, 1));
         auto tenants = buildTenants(pool, gen, microSpecs({1.0}));
         AdmissionController ac(pool, tenants, cfg);
-        const ServeReport report = ac.run(burst);
-        EXPECT_EQ(report.completed, 5u);
-        EXPECT_EQ(report.rejected, 0u);
+        const RecordedRun run = runRecorded(ac, burst);
+        EXPECT_EQ(run.report.completed, 5u);
+        EXPECT_EQ(run.report.rejected, 0u);
         // Blocked requests wait longer and longer for their slot.
-        const auto &queueing = report.tenants[0].queueing;
+        const std::vector<double> queueing = run.records.queueings(0);
         ASSERT_EQ(queueing.size(), 5u);
         for (std::size_t i = 1; i < queueing.size(); ++i)
             EXPECT_GE(queueing[i], queueing[i - 1]) << "request " << i;
@@ -135,7 +140,6 @@ TEST(Admission, FifoAdmitsOldestArrivalFirst)
     ChipPool pool(poolConfig(1, 2));
     auto tenants = buildTenants(pool, gen, microSpecs({1.0, 1.0}));
     AdmissionConfig cfg;
-    cfg.retainSamples = true;
     cfg.queueDepth = 1;
     cfg.qos = QosPolicy::Fifo;
     AdmissionController ac(pool, tenants, cfg);
@@ -147,15 +151,12 @@ TEST(Admission, FifoAdmitsOldestArrivalFirst)
     trace.push_back(microRequest(0, 0));
     trace.push_back(microRequest(1, 1));
     trace.push_back(microRequest(2, 0));
-    const ServeReport report = ac.run(trace);
-    ASSERT_EQ(report.completed, 3u);
-    // Tenant 1 was admitted before tenant 0's second request: its
-    // start (arrival + queueing = 1 + q) precedes the other's
-    // (2 + q').
-    const double t1_start = 1.0 + report.tenants[1].queueing[0];
-    const double t0_second_start =
-        2.0 + report.tenants[0].queueing[1];
-    EXPECT_LT(t1_start, t0_second_start);
+    const RecordedRun run = runRecorded(ac, trace);
+    ASSERT_EQ(run.report.completed, 3u);
+    // Tenant 1 was admitted before tenant 0's second request, so it
+    // started first.
+    EXPECT_LT(run.records.requests[1].start,
+              run.records.requests[2].start);
 }
 
 TEST(Admission, WeightedFairSharesConvergeToWeights)
@@ -164,28 +165,27 @@ TEST(Admission, WeightedFairSharesConvergeToWeights)
     ChipPool pool(poolConfig(1, 2));
     auto tenants = buildTenants(pool, gen, microSpecs({3.0, 1.0}));
     AdmissionConfig cfg;
-    cfg.retainSamples = true;
     cfg.queueDepth = 2;
     cfg.qos = QosPolicy::WeightedFair;
     cfg.overflow = OverflowPolicy::Block;
     AdmissionController ac(pool, tenants, cfg);
 
     const Cycle horizon = 8000;
-    const ServeReport report = ac.run(floodTrace(2, horizon));
+    const RecordedRun run = runRecorded(ac, floodTrace(2, horizon));
     // Count completions inside the saturated window (the end-of-trace
     // drain completes everything eventually and would flatten the
     // shares to the submitted counts).
-    const double a = static_cast<double>(
-        report.tenants[0].completionsBy(horizon));
-    const double b = static_cast<double>(
-        report.tenants[1].completionsBy(horizon));
+    const double a =
+        static_cast<double>(run.records.completedBy(0, horizon));
+    const double b =
+        static_cast<double>(run.records.completedBy(1, horizon));
     ASSERT_GT(b, 20.0);
     const double ratio = a / b;
     EXPECT_GT(ratio, 2.4) << "a=" << a << " b=" << b;
     EXPECT_LT(ratio, 3.6) << "a=" << a << " b=" << b;
     // The heavier class also sees the shorter queueing delay.
-    EXPECT_LT(report.tenants[0].queueingSummary().p50,
-              report.tenants[1].queueingSummary().p50);
+    EXPECT_LT(summarize(run.records.queueings(0)).p50,
+              summarize(run.records.queueings(1)).p50);
 }
 
 TEST(Admission, WeightedFairBanksNoCreditWhileIdle)
@@ -199,7 +199,6 @@ TEST(Admission, WeightedFairBanksNoCreditWhileIdle)
     ChipPool pool(poolConfig(1, 2));
     auto tenants = buildTenants(pool, gen, microSpecs({1.0, 1.0}));
     AdmissionConfig cfg;
-    cfg.retainSamples = true;
     cfg.queueDepth = 2;
     cfg.qos = QosPolicy::WeightedFair;
     cfg.overflow = OverflowPolicy::Block;
@@ -212,12 +211,12 @@ TEST(Admission, WeightedFairBanksNoCreditWhileIdle)
         if (at >= half)
             trace.push_back(microRequest(at, 1));
     }
-    const ServeReport report = ac.run(trace);
-    const double t0_second_half = static_cast<double>(
-        report.tenants[0].completionsBy(2 * half) -
-        report.tenants[0].completionsBy(half));
-    const double t1_second_half = static_cast<double>(
-        report.tenants[1].completionsBy(2 * half));
+    const test::RunRecords records = runRecorded(ac, trace).records;
+    const double t0_second_half =
+        static_cast<double>(records.completedBy(0, 2 * half) -
+                            records.completedBy(0, half));
+    const double t1_second_half =
+        static_cast<double>(records.completedBy(1, 2 * half));
     ASSERT_GT(t1_second_half, 10.0);
     // Equal weights: the second-half shares stay near 1:1 instead of
     // tenant 1 freezing tenant 0 out.
@@ -246,24 +245,23 @@ TEST(Admission, RoundRobinIsStarvationFree)
         ChipPool pool(poolConfig(1, 2));
         auto tenants = buildTenants(pool, gen, microSpecs({1.0, 1.0}));
         AdmissionConfig cfg;
-        cfg.retainSamples = true;
         cfg.queueDepth = 2;
         cfg.qos = qos;
         cfg.overflow = OverflowPolicy::Block;
         AdmissionController ac(pool, tenants, cfg);
-        return ac.run(trace);
+        return runRecorded(ac, trace);
     };
 
-    const ServeReport fifo = run_policy(QosPolicy::Fifo);
-    const ServeReport rr = run_policy(QosPolicy::RoundRobin);
-    ASSERT_EQ(rr.completed, trace.size());
+    const RecordedRun fifo = run_policy(QosPolicy::Fifo);
+    const RecordedRun rr = run_policy(QosPolicy::RoundRobin);
+    ASSERT_EQ(rr.report.completed, trace.size());
     // Every trickle request completed shortly after its arrival
     // under RR (one service time of slack past the horizon).
-    EXPECT_EQ(rr.tenants[1].completionsBy(horizon + 500),
-              rr.tenants[1].completed);
+    EXPECT_EQ(rr.records.completedBy(1, horizon + 500),
+              rr.report.tenants[1].completed);
     // And far sooner than under FIFO.
-    const double rr_p95 = rr.tenants[1].queueingSummary().p95;
-    const double fifo_p50 = fifo.tenants[1].queueingSummary().p50;
+    const double rr_p95 = summarize(rr.records.queueings(1)).p95;
+    const double fifo_p50 = summarize(fifo.records.queueings(1)).p50;
     EXPECT_LT(rr_p95, fifo_p50)
         << "rr p95=" << rr_p95 << " fifo p50=" << fifo_p50;
 }
@@ -286,19 +284,21 @@ TEST(Admission, PoolRunsBitIdenticallyAcrossSizes)
         AdmissionConfig cfg;
         cfg.queueDepth = 4;
         cfg.overflow = OverflowPolicy::Block;
-        cfg.collectOutputs = true;
         AdmissionController ac(pool, tenants, cfg);
-        return ac.run(trace);
+        return runRecorded(ac, trace);
     };
 
-    const ServeReport one = run_pool(1);
-    const ServeReport four = run_pool(4);
-    EXPECT_EQ(one.completed, trace.size());
-    EXPECT_EQ(four.completed, trace.size());
-    EXPECT_EQ(one.outputChecksum, four.outputChecksum);
-    ASSERT_EQ(one.outputs.size(), four.outputs.size());
-    for (std::size_t i = 0; i < one.outputs.size(); ++i)
-        EXPECT_EQ(one.outputs[i], four.outputs[i]) << "request " << i;
+    const RecordedRun one = run_pool(1);
+    const RecordedRun four = run_pool(4);
+    EXPECT_EQ(one.report.completed, trace.size());
+    EXPECT_EQ(four.report.completed, trace.size());
+    EXPECT_EQ(one.report.outputChecksum, four.report.outputChecksum);
+    ASSERT_EQ(one.records.requests.size(), trace.size());
+    ASSERT_EQ(four.records.requests.size(), trace.size());
+    for (std::size_t i = 0; i < trace.size(); ++i)
+        EXPECT_EQ(one.records.requests[i].outputFnv,
+                  four.records.requests[i].outputFnv)
+            << "request " << i;
 
     // Spot-check functional correctness against the reference MVM.
     const auto &req0 = trace[0];
@@ -308,7 +308,7 @@ TEST(Admission, PoolRunsBitIdenticallyAcrossSizes)
     for (std::size_t c = 0; c < w.cols(); ++c)
         for (std::size_t r = 0; r < w.rows(); ++r)
             want[c] += w(r, c) * req0.input[r];
-    EXPECT_EQ(one.outputs[0], want);
+    EXPECT_EQ(one.records.requests[0].outputFnv, fnv1aWords(want));
 }
 
 TEST(Admission, ChecksumIsStableAcrossQosPolicies)
@@ -330,7 +330,6 @@ TEST(Admission, ChecksumIsStableAcrossQosPolicies)
         ChipPool pool(poolConfig(1, 2));
         auto tenants = buildTenants(pool, gen, rated);
         AdmissionConfig cfg;
-        cfg.retainSamples = true;
         cfg.queueDepth = 2;
         cfg.qos = qos;
         cfg.overflow = OverflowPolicy::Block;
@@ -645,28 +644,30 @@ TEST(Admission, InferenceRequestsServeWholeForwards)
     EXPECT_GT(nominal, 1000u);
 
     AdmissionConfig cfg;
-    cfg.retainSamples = true;
     cfg.queueDepth = 1;
     cfg.qos = QosPolicy::WeightedFair;
     cfg.overflow = OverflowPolicy::Block;
-    cfg.collectOutputs = true;
     AdmissionController ac(pool, tenants, cfg);
     const auto trace = gen.trace(specs, 120000);
     ASSERT_GE(trace.size(), 3u);
-    const ServeReport report = ac.run(trace);
+    const RecordedRun run = runRecorded(ac, trace);
 
-    EXPECT_EQ(report.completed, trace.size());
-    const TenantStats &stats = report.tenants[0];
+    EXPECT_EQ(run.report.completed, trace.size());
+    const TenantStats &stats = run.report.tenants[0];
     // 81 MVMs per TinyCnn inference.
     EXPECT_EQ(stats.mvms, stats.completed * 81u);
-    ASSERT_EQ(stats.latency.size(), stats.completed);
+    EXPECT_EQ(stats.latencyHist.count(), stats.completed);
 
     const cnn::TinyCnn ref =
         gen.cnnInferNet(TrafficGen::privateModelKey(0));
-    for (std::size_t i = 0; i < trace.size(); ++i)
-        EXPECT_EQ(report.outputs[i],
-                  ref.infer(ref.inputFromFlat(trace[i].input)))
+    ASSERT_EQ(run.records.requests.size(), trace.size());
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+        const test::RequestRecord &r = run.records.requests[i];
+        EXPECT_EQ(r.mvms, 81u) << "request " << i;
+        EXPECT_EQ(r.outputFnv, fnv1aWords(ref.infer(
+                                   ref.inputFromFlat(trace[i].input))))
             << "request " << i;
+    }
 }
 
 /** One chip large enough for a TinyCnn + encoder + a Micro matrix. */
@@ -706,34 +707,36 @@ TEST(Admission, StageGranularityKeepsOutputsBitIdentical)
         cfg.qos = QosPolicy::WeightedFair;
         cfg.overflow = OverflowPolicy::Block;
         cfg.granularity = granularity;
-        cfg.collectOutputs = true;
         AdmissionController ac(pool, tenants, cfg);
-        return ac.run(trace);
+        return runRecorded(ac, trace);
     };
 
-    const ServeReport whole = run_granularity(Granularity::Inference);
-    const ServeReport staged = run_granularity(Granularity::Stage);
-    EXPECT_EQ(whole.completed, trace.size());
-    EXPECT_EQ(staged.completed, trace.size());
-    EXPECT_EQ(whole.outputChecksum, staged.outputChecksum);
-    ASSERT_EQ(whole.outputs.size(), staged.outputs.size());
-    for (std::size_t i = 0; i < whole.outputs.size(); ++i)
-        EXPECT_EQ(whole.outputs[i], staged.outputs[i])
+    const RecordedRun whole = run_granularity(Granularity::Inference);
+    const RecordedRun staged = run_granularity(Granularity::Stage);
+    EXPECT_EQ(whole.report.completed, trace.size());
+    EXPECT_EQ(staged.report.completed, trace.size());
+    EXPECT_EQ(whole.report.outputChecksum, staged.report.outputChecksum);
+    ASSERT_EQ(whole.records.requests.size(), trace.size());
+    ASSERT_EQ(staged.records.requests.size(), trace.size());
+    for (std::size_t i = 0; i < trace.size(); ++i)
+        EXPECT_EQ(whole.records.requests[i].outputFnv,
+                  staged.records.requests[i].outputFnv)
             << "request " << i;
 
     // Same MVMs issued either way; the stage cell interleaved
     // stages of distinct requests, the whole-unit cell cannot.
-    EXPECT_EQ(whole.chips[0].issued, staged.chips[0].issued);
-    EXPECT_EQ(whole.chips[0].interleavedStages, 0u);
-    EXPECT_GT(staged.chips[0].interleavedStages, 0u);
+    EXPECT_EQ(whole.report.chips[0].issued, staged.report.chips[0].issued);
+    EXPECT_EQ(whole.report.chips[0].interleavedStages, 0u);
+    EXPECT_GT(staged.report.chips[0].interleavedStages, 0u);
 
     // Spot-check one inference output against the reference net.
     const cnn::TinyCnn ref =
         gen.cnnInferNet(TrafficGen::privateModelKey(0));
     for (std::size_t i = 0; i < trace.size(); ++i)
         if (trace[i].tenant == 0) {
-            EXPECT_EQ(staged.outputs[i],
-                      ref.infer(ref.inputFromFlat(trace[i].input)));
+            EXPECT_EQ(staged.records.requests[i].outputFnv,
+                      fnv1aWords(
+                          ref.infer(ref.inputFromFlat(trace[i].input))));
             break;
         }
 }
@@ -771,32 +774,27 @@ TEST(Admission, StageSlotsReleaseOnStageCompletion)
         ChipPool pool(stagePoolConfig());
         auto tenants = buildTenants(pool, gen, specs);
         AdmissionConfig cfg;
-        cfg.retainSamples = true;
         cfg.queueDepth = 1;
         cfg.qos = QosPolicy::RoundRobin;
         cfg.overflow = OverflowPolicy::Block;
         cfg.granularity = granularity;
         AdmissionController ac(pool, tenants, cfg);
-        return ac.run(trace);
+        return runRecorded(ac, trace);
     };
 
-    const ServeReport whole = run_granularity(Granularity::Inference);
-    const ServeReport staged = run_granularity(Granularity::Stage);
-    ASSERT_EQ(whole.completed, 2u);
-    ASSERT_EQ(staged.completed, 2u);
+    const RecordedRun whole = run_granularity(Granularity::Inference);
+    const RecordedRun staged = run_granularity(Granularity::Stage);
+    ASSERT_EQ(whole.report.completed, 2u);
+    ASSERT_EQ(staged.report.completed, 2u);
 
-    const double whole_infer_done = whole.tenants[0].doneNs[0];
-    const double whole_mvm_start =
-        1.0 + whole.tenants[1].queueing[0];
-    EXPECT_GE(whole_mvm_start, whole_infer_done);
-
-    const double staged_infer_done = staged.tenants[0].doneNs[0];
-    const double staged_mvm_start =
-        1.0 + staged.tenants[1].queueing[0];
-    EXPECT_LT(staged_mvm_start, staged_infer_done);
+    // Request 0 is the inference, request 1 the MVM.
+    EXPECT_GE(whole.records.requests[1].start,
+              whole.records.requests[0].done);
+    EXPECT_LT(staged.records.requests[1].start,
+              staged.records.requests[0].done);
     // The MVM slipped between two stages of the inference: that is
     // the interleaving the per-chip admission sequence counts.
-    EXPECT_GE(staged.chips[0].interleavedStages, 1u);
+    EXPECT_GE(staged.report.chips[0].interleavedStages, 1u);
 }
 
 TEST(Admission, StageRejectFinishesBegunRequestsAndDropsArrivals)
@@ -830,20 +828,25 @@ TEST(Admission, StageRejectFinishesBegunRequestsAndDropsArrivals)
     cfg.queueDepth = 1;
     cfg.overflow = OverflowPolicy::Reject;
     cfg.granularity = Granularity::Stage;
-    cfg.collectOutputs = true;
     AdmissionController ac(pool, tenants, cfg);
-    const ServeReport report = ac.run(trace);
+    const RecordedRun run = runRecorded(ac, trace);
 
-    EXPECT_EQ(report.completed, 2u);
-    EXPECT_EQ(report.rejected, 2u);
+    EXPECT_EQ(run.report.completed, 2u);
+    EXPECT_EQ(run.report.rejected, 2u);
     const cnn::TinyCnn ref =
         gen.cnnInferNet(TrafficGen::privateModelKey(0));
-    EXPECT_EQ(report.outputs[0],
-              ref.infer(ref.inputFromFlat(trace[0].input)));
-    EXPECT_TRUE(report.outputs[1].empty());
-    EXPECT_TRUE(report.outputs[2].empty());
-    EXPECT_EQ(report.outputs[3],
-              ref.infer(ref.inputFromFlat(trace[3].input)));
+    const std::vector<test::RequestRecord> &r = run.records.requests;
+    ASSERT_EQ(r.size(), trace.size());
+    for (const std::size_t i : {std::size_t{0}, std::size_t{3}}) {
+        EXPECT_TRUE(r[i].completed) << "request " << i;
+        EXPECT_EQ(r[i].outputFnv,
+                  fnv1aWords(ref.infer(ref.inputFromFlat(trace[i].input))))
+            << "request " << i;
+    }
+    for (const std::size_t i : {std::size_t{1}, std::size_t{2}}) {
+        EXPECT_TRUE(r[i].rejected) << "request " << i;
+        EXPECT_FALSE(r[i].completed) << "request " << i;
+    }
 }
 
 TEST(Admission, BurstSpecValidationThrows)
@@ -936,16 +939,15 @@ TEST(Admission, InferenceBlocksHonourArrivalOrderAndWindow)
     }
 
     AdmissionConfig cfg;
-    cfg.retainSamples = true;
     cfg.queueDepth = 1;
     AdmissionController ac(pool, tenants, cfg);
-    const ServeReport report = ac.run(trace);
-    ASSERT_EQ(report.completed, 2u);
-    const TenantStats &stats = report.tenants[0];
+    const RecordedRun run = runRecorded(ac, trace);
+    ASSERT_EQ(run.report.completed, 2u);
+    const std::vector<test::RequestRecord> &r = run.records.requests;
     // queueing = start - arrival: the second request waited at least
     // the first's service time behind the one-slot window.
-    EXPECT_GT(stats.queueing[1], 0.0);
-    EXPECT_GE(stats.doneNs[1], stats.doneNs[0]);
+    EXPECT_GT(r[1].queueing(), 0.0);
+    EXPECT_GE(r[1].done, r[0].done);
 }
 
 } // namespace

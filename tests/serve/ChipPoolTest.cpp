@@ -206,8 +206,10 @@ TEST(ChipPool, SubmitRoutesToOwningChip)
 
     const std::vector<i64> x(8, 1);
     const auto future = pool.submit(a, x, 1);
-    EXPECT_EQ(pool.queueDepth(pool.modelChip(a)), 1u);
-    EXPECT_EQ(pool.queueDepth(pool.modelChip(b)), 0u);
+    EXPECT_EQ(pool.runtime(pool.modelChip(a)).scheduler().pendingCount(),
+              1u);
+    EXPECT_EQ(pool.runtime(pool.modelChip(b)).scheduler().pendingCount(),
+              0u);
     const auto result = pool.wait(a, future);
     EXPECT_EQ(result.values, reference(m_a, x));
     // Only the owning chip's clock advanced.
@@ -485,7 +487,7 @@ TEST(ChipPool, StagedInferenceChargesSumToNominal)
 
     // beginInference submits nothing: the chip scheduler is idle
     // until the run is advanced.
-    EXPECT_EQ(pool.queueDepth(0), 0u);
+    EXPECT_EQ(pool.runtime(0).scheduler().pendingCount(), 0u);
     EXPECT_EQ(cnn_run->submittedStages(), 0u);
 
     // Driving both runs to completion yields the reference outputs.

@@ -3,9 +3,10 @@
  * Bit-identity of the per-chip parallel drain: running the same
  * trace through AdmissionController with N worker threads must
  * produce byte-for-byte the report a single-threaded run produces —
- * checksums, counts, makespan, every per-request latency sample, and
- * the event journal's binary serialization. The `threads` knob is a
- * host-side throughput control, never a semantic one.
+ * checksums, counts, makespan, latency distributions — and the event
+ * journal's binary serialization, which carries every per-request
+ * time stamp and output checksum. The `threads` knob is a host-side
+ * throughput control, never a semantic one.
  */
 
 #include <cstddef>
@@ -79,9 +80,16 @@ mixedSpecs()
     return specs;
 }
 
+/** A run's report and its journal's binary serialization. */
+struct JournaledRun
+{
+    ServeReport report;
+    std::string journalBytes;
+};
+
 /** One full serve run at the given thread count over a fixed
- *  scenario (seeded trace, 4 chips, weighted-fair, outputs kept). */
-ServeReport
+ *  scenario (seeded trace, 4 chips, weighted-fair, journaled). */
+JournaledRun
 runAt(std::size_t threads)
 {
     TrafficGen gen(4242);
@@ -92,11 +100,15 @@ runAt(std::size_t threads)
     cfg.queueDepth = 2;
     cfg.qos = QosPolicy::WeightedFair;
     cfg.overflow = OverflowPolicy::Block;
-    cfg.collectOutputs = true;
-    cfg.retainSamples = true;
     cfg.threads = threads;
     AdmissionController ac(pool, tenants, cfg);
-    return ac.run(gen.trace(specs, 4000));
+    journal::Journal jr;
+    ac.setJournal(&jr);
+    JournaledRun run{ac.run(gen.trace(specs, 4000)), {}};
+    std::stringstream bytes;
+    jr.writeBinary(bytes);
+    run.journalBytes = bytes.str();
+    return run;
 }
 
 void
@@ -106,7 +118,6 @@ expectReportsIdentical(const ServeReport &one, const ServeReport &many)
     EXPECT_EQ(one.completed, many.completed);
     EXPECT_EQ(one.rejected, many.rejected);
     EXPECT_EQ(one.makespanNs, many.makespanNs);
-    EXPECT_EQ(one.outputs, many.outputs);
     ASSERT_EQ(one.tenants.size(), many.tenants.size());
     for (std::size_t t = 0; t < one.tenants.size(); ++t) {
         const TenantStats &a = one.tenants[t];
@@ -114,12 +125,11 @@ expectReportsIdentical(const ServeReport &one, const ServeReport &many)
         EXPECT_EQ(a.completed, b.completed) << a.name;
         EXPECT_EQ(a.rejected, b.rejected) << a.name;
         EXPECT_EQ(a.mvms, b.mvms) << a.name;
-        // Exact double equality on every sample: the merge at the
-        // join must preserve order and value, not just summaries.
-        EXPECT_EQ(a.latency, b.latency) << a.name;
-        EXPECT_EQ(a.queueing, b.queueing) << a.name;
-        EXPECT_EQ(a.service, b.service) << a.name;
-        EXPECT_EQ(a.doneNs, b.doneNs) << a.name;
+        // Exact double equality on the push-order sums: the merge at
+        // the join must preserve order and value, not just counts.
+        EXPECT_EQ(a.latencyHist.sum(), b.latencyHist.sum()) << a.name;
+        EXPECT_EQ(a.queueingHist.sum(), b.queueingHist.sum()) << a.name;
+        EXPECT_EQ(a.serviceHist.sum(), b.serviceHist.sum()) << a.name;
         EXPECT_EQ(a.serviceNs, b.serviceNs) << a.name;
     }
     ASSERT_EQ(one.chips.size(), many.chips.size());
@@ -133,19 +143,22 @@ expectReportsIdentical(const ServeReport &one, const ServeReport &many)
 
 TEST(ParallelServe, FourThreadsBitIdenticalToOne)
 {
-    const ServeReport one = runAt(1);
-    const ServeReport four = runAt(4);
-    ASSERT_GT(one.completed, 0u);
-    expectReportsIdentical(one, four);
+    const JournaledRun one = runAt(1);
+    const JournaledRun four = runAt(4);
+    ASSERT_GT(one.report.completed, 0u);
+    expectReportsIdentical(one.report, four.report);
+    // Every per-request stamp and output checksum, in journal order.
+    EXPECT_EQ(one.journalBytes, four.journalBytes);
 }
 
 TEST(ParallelServe, MoreThreadsThanChipsIsStillIdentical)
 {
     // Oversubscription (threads > chips) exercises workers that find
     // the queue empty and must exit without contributing.
-    const ServeReport one = runAt(1);
-    const ServeReport eight = runAt(8);
-    expectReportsIdentical(one, eight);
+    const JournaledRun one = runAt(1);
+    const JournaledRun eight = runAt(8);
+    expectReportsIdentical(one.report, eight.report);
+    EXPECT_EQ(one.journalBytes, eight.journalBytes);
 }
 
 TEST(ParallelServe, JournalBytesIdenticalAcrossThreadCounts)
@@ -210,8 +223,6 @@ TEST(ParallelServe, StreamedBatchesMatchArrivalOrder)
     setup.admission.queueDepth = 2;
     setup.admission.qos = QosPolicy::WeightedFair;
     setup.admission.granularity = Granularity::Stage;
-    setup.admission.collectOutputs = true;
-    setup.admission.retainSamples = true;
     setup.tenants = mixedSpecs();
     for (TenantSpec &spec : setup.tenants)
         spec.ratePerKns = spec.kind == WorkloadKind::Micro ? 1.0 : 0.005;

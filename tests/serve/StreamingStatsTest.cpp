@@ -1,21 +1,23 @@
 /**
  * @file
- * Streaming serve telemetry: the O(1)-memory path (histogram
+ * Streaming serve telemetry: the O(1)-memory report (histogram
  * percentiles, exact streaming aggregates, the rolling output
  * checksum of AdmissionController::runStream) must agree with the
- * O(requests) retained path it replaces — exactly for counts, sums
- * (push-order), extrema, and checksums; within one bucket width for
- * percentiles — across QoS policies, overflow policies, admission
+ * per-request facts the run journal records — exactly for counts,
+ * sums (push-order), extrema, and checksums; within one bucket width
+ * for percentiles — across QoS policies, overflow policies, admission
  * granularities, and the fleet lifecycle.
  */
 
 #include <algorithm>
 #include <cstddef>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "RunRecords.h"
 #include "common/Fnv.h"
 #include "common/Stats.h"
 #include "journal/Replayer.h"
@@ -31,7 +33,7 @@ namespace
 {
 
 /** One 2-chip scenario per seed, cycling QoS/overflow/granularity so
- *  the retained-vs-streaming comparison spans the admission modes. */
+ *  the journal-vs-streaming comparison spans the admission modes. */
 journal::ServeRunSetup
 drawSetup(u64 seed)
 {
@@ -70,25 +72,30 @@ drawSetup(u64 seed)
 TEST(StreamingStats, HistogramAgreesWithRetainedSamples)
 {
     for (u64 seed = 0; seed < 6; ++seed) {
-        journal::ServeRunSetup setup = drawSetup(seed);
-        setup.admission.retainSamples = true;
+        const journal::ServeRunSetup setup = drawSetup(seed);
         const journal::ServeRunRecord rec =
             journal::recordServeRun(setup);
         ASSERT_GT(rec.report.completed, 0u) << "seed " << seed;
+        const test::RunRecords records =
+            test::readRunRecords(rec.journal);
 
-        for (const TenantStats &t : rec.report.tenants) {
+        for (std::size_t ti = 0; ti < rec.report.tenants.size(); ++ti) {
+            const TenantStats &t = rec.report.tenants[ti];
+            const std::vector<double> latency = records.latencies(ti);
+            const std::vector<double> queueing = records.queueings(ti);
             // Exact aggregates: count, extrema, and a sum that is
-            // bit-equal to the push-order fold over the retained
-            // vector (NOT summarize().mean * count — summarize sums
-            // in sorted order, which rounds differently).
-            ASSERT_EQ(t.latencyHist.count(), t.latency.size())
+            // bit-equal to the fold over the journal's Complete records
+            // in journal order, the histogram's push order (NOT
+            // summarize().mean * count — summarize sums in sorted
+            // order, which rounds differently).
+            ASSERT_EQ(t.latencyHist.count(), latency.size())
                 << "seed " << seed << " tenant " << t.name;
-            if (t.latency.empty())
+            if (latency.empty())
                 continue;
             double fold = 0.0;
-            double lo = t.latency.front();
-            double hi = t.latency.front();
-            for (const double v : t.latency) {
+            double lo = latency.front();
+            double hi = latency.front();
+            for (const double v : latency) {
                 fold += v;
                 lo = std::min(lo, v);
                 hi = std::max(hi, v);
@@ -101,7 +108,7 @@ TEST(StreamingStats, HistogramAgreesWithRetainedSamples)
             // Percentiles: the histogram reports the lower edge of
             // the nearest-rank sample's bucket — never above the
             // retained value, and below it by less than one width.
-            const SampleSummary retained = summarize(t.latency);
+            const SampleSummary retained = summarize(latency);
             const SampleSummary streamed = t.latencyHist.summary();
             const double width = t.latencyHist.bucketWidth();
             for (const auto &[exact, bucketed] :
@@ -116,8 +123,8 @@ TEST(StreamingStats, HistogramAgreesWithRetainedSamples)
             }
 
             // Queueing histogram obeys the same contract.
-            ASSERT_EQ(t.queueingHist.count(), t.queueing.size());
-            const double qexact = summarize(t.queueing).p95;
+            ASSERT_EQ(t.queueingHist.count(), queueing.size());
+            const double qexact = summarize(queueing).p95;
             const double qbucketed = t.queueingHist.percentile(95.0);
             EXPECT_LE(qbucketed, qexact);
             EXPECT_LT(qexact - qbucketed,
@@ -186,57 +193,75 @@ TEST(StreamingStats, StreamedFleetRunMatchesVectorFleetRun)
               rec.report.fleet.departures);
 }
 
-TEST(StreamingStats, RetainSamplesOffLeavesVectorsEmpty)
+/** The reference output of `model` (W·x, or the TinyCnn forward)
+ *  for `input`. */
+std::vector<i64>
+referenceOutput(const ServedModel &model, const std::vector<i64> &input)
 {
-    journal::ServeRunSetup setup = drawSetup(0);
-    setup.admission.retainSamples = false;
-    const journal::ServeRunRecord rec = journal::recordServeRun(setup);
-    ASSERT_GT(rec.report.completed, 0u);
-    for (const TenantStats &t : rec.report.tenants) {
-        EXPECT_TRUE(t.latency.empty()) << t.name;
-        EXPECT_TRUE(t.queueing.empty()) << t.name;
-        EXPECT_TRUE(t.service.empty()) << t.name;
-        EXPECT_TRUE(t.doneNs.empty()) << t.name;
-        // The summaries fall back to the always-on histograms.
-        EXPECT_EQ(t.latencySummary().count, t.completed) << t.name;
-        EXPECT_EQ(t.queueingSummary().count, t.completed) << t.name;
-    }
+    if (const auto *net = std::get_if<cnn::TinyCnn>(&model))
+        return net->infer(net->inputFromFlat(input));
+    const MatrixI &w = std::get<MatrixModel>(model).weights;
+    std::vector<i64> out(w.cols(), 0);
+    for (std::size_t c = 0; c < w.cols(); ++c)
+        for (std::size_t r = 0; r < w.rows(); ++r)
+            out[c] += w(r, c) * input[r];
+    return out;
 }
 
 TEST(StreamingStats, RunStreamCollectsTheOutputsRunDoes)
 {
-    // Under collectOutputs a streamed run collects exactly the
-    // outputs run() does — request order, empty vectors for
-    // rejections — whether it streams the materialized trace or the
-    // lazy generator; and the outputs fold to the report checksum.
+    // A streamed run records exactly the journal run() does — every
+    // completion, rejection, and output checksum in request order —
+    // whether it streams the materialized trace or the lazy
+    // generator; and the reference outputs of the completed requests
+    // (empty for rejections) fold to the report checksum.
     for (u64 seed = 0; seed < 2; ++seed) {
-        journal::ServeRunSetup setup = drawSetup(seed);
-        setup.admission.collectOutputs = true;
+        const journal::ServeRunSetup setup = drawSetup(seed);
         const std::vector<ServeRequest> trace =
             TrafficGen(setup.trafficSeed)
                 .trace(setup.tenants, setup.horizon);
-        auto serve = [&](RequestSource *source) {
+        auto serve = [&](RequestSource *source, journal::Journal &jr) {
             TrafficGen gen(setup.trafficSeed);
             ChipPool pool(setup.poolConfig());
             AdmissionController ac(
                 pool, buildTenants(pool, gen, setup.tenants),
                 setup.admission);
+            ac.setJournal(&jr);
             return source != nullptr ? ac.runStream(*source)
                                      : ac.run(trace);
         };
-        const ServeReport vec = serve(nullptr);
+        journal::Journal vec_jr, from_vector_jr, from_stream_jr;
+        const ServeReport vec = serve(nullptr, vec_jr);
         VectorSource vector_source(trace);
-        const ServeReport from_vector = serve(&vector_source);
+        const ServeReport from_vector =
+            serve(&vector_source, from_vector_jr);
         TraceStream lazy(setup.trafficSeed, setup.tenants,
                          setup.horizon);
-        const ServeReport from_stream = serve(&lazy);
+        const ServeReport from_stream = serve(&lazy, from_stream_jr);
 
-        ASSERT_EQ(vec.outputs.size(), trace.size()) << "seed " << seed;
-        EXPECT_EQ(from_vector.outputs, vec.outputs) << "seed " << seed;
-        EXPECT_EQ(from_stream.outputs, vec.outputs) << "seed " << seed;
+        EXPECT_EQ(from_vector_jr, vec_jr) << "seed " << seed;
+        EXPECT_EQ(from_stream_jr, vec_jr) << "seed " << seed;
+        EXPECT_EQ(from_vector.outputChecksum, vec.outputChecksum);
+        EXPECT_EQ(from_stream.outputChecksum, vec.outputChecksum);
+
+        const test::RunRecords records = test::readRunRecords(vec_jr);
+        ASSERT_EQ(records.requests.size(), trace.size())
+            << "seed " << seed;
+        const TrafficGen gen(setup.trafficSeed);
         u64 hash = kFnvOffsetBasis;
         std::size_t empty = 0;
-        for (const std::vector<i64> &values : vec.outputs) {
+        for (std::size_t i = 0; i < trace.size(); ++i) {
+            const test::RequestRecord &r = records.requests[i];
+            ASSERT_NE(r.completed, r.rejected) << "request " << i;
+            std::vector<i64> values;
+            if (r.completed) {
+                const std::size_t t = trace[i].tenant;
+                values = referenceOutput(
+                    tenantModel(gen, setup.tenants[t], t),
+                    trace[i].input);
+                EXPECT_EQ(r.outputFnv, fnv1aWords(values))
+                    << "seed " << seed << " request " << i;
+            }
             hash = fnv1aWords(values, hash);
             empty += values.empty() ? 1 : 0;
         }

@@ -1,6 +1,6 @@
 /**
  * @file
- * Shared helpers for the table/figure reproduction benches.
+ * Shared helpers for paper_bench, the system benches and perfbench.
  *
  * DarthSystem derives chip-level throughput and energy for the three
  * workloads from the simulator itself: AES runs end-to-end through
@@ -46,11 +46,9 @@ struct AppNumbers
 /** AES state bytes per pipeline batch: 64 elements / 16 B blocks. */
 constexpr double kAesBlocksPerPipelineBatch = 4.0;
 
-/** DigitalPUM baseline: active pipelines per 64-pipeline cluster
- *  (§6: "two pipelines active per cluster to stay within thermal
- *  limits"). */
+/** Active pipelines per 64-pipeline DCE cluster (§6: "two pipelines
+ *  active per cluster to stay within thermal limits"). */
 constexpr double kDigitalActivePipes = 2.0;
-constexpr double kDigitalTotalPipes = 64.0;
 
 /** Medium chip used by the scheduler/MVM benches (32x32 shapes). */
 inline runtime::ChipConfig
@@ -200,74 +198,6 @@ class DarthSystem
     std::size_t hcts_;
 };
 
-/** DigitalPUM (RACER-style iso-area chip) numbers. */
-class DigitalPumSystem
-{
-  public:
-    DigitalPumSystem()
-    {
-        // Iso-area RACER chip: DCE-like clusters only (no ACE), so
-        // more clusters fit; thermal limits keep 2/64 pipelines live.
-        model::AreaModel area;
-        const double cluster_area =
-            area.dceArea() + area.frontEnd / area.hctsPerFrontEnd;
-        clusters_ = static_cast<std::size_t>(model::kIsoAreaBudget /
-                                             cluster_area);
-    }
-
-    std::size_t clusters() const { return clusters_; }
-
-    double
-    activePipelines() const
-    {
-        return static_cast<double>(clusters_) * kDigitalActivePipes;
-    }
-
-    /** AES on digital PUM only (per-pipeline cycles supplied). */
-    AppNumbers
-    aes(Cycle cycles_per_batch, PicoJoule pj_per_batch) const
-    {
-        AppNumbers out;
-        out.throughput = activePipelines() *
-                         kAesBlocksPerPipelineBatch /
-                         static_cast<double>(cycles_per_batch) * kHz;
-        out.joulesPerItem =
-            pj_per_batch / kAesBlocksPerPipelineBatch * 1e-12;
-        return out;
-    }
-
-    /** CNN on digital PUM via the mapper's digital cost (which
-     *  already includes the thermal throttle). */
-    AppNumbers
-    cnn(const std::vector<darth::cnn::LayerStats> &layers) const
-    {
-        darth::cnn::CnnMapper mapper(
-            paperHct(analog::AdcKind::Sar));
-        const auto cost = mapper.digitalNetworkCost(layers);
-        AppNumbers out;
-        out.throughput =
-            static_cast<double>(clusters_) /
-            (static_cast<double>(cost.maxLayerLatency) / kHz);
-        out.joulesPerItem = cost.energy * 1e-12;
-        return out;
-    }
-
-    AppNumbers
-    llm(const darth::llm::EncoderStats &stats) const
-    {
-        darth::llm::LlmMapper mapper(paperHct(analog::AdcKind::Sar));
-        const auto cost = mapper.digitalCost(stats);
-        AppNumbers out;
-        out.throughput = static_cast<double>(clusters_) /
-                         (static_cast<double>(cost.latency) / kHz);
-        out.joulesPerItem = cost.energy * 1e-12;
-        return out;
-    }
-
-  private:
-    std::size_t clusters_ = 0;
-};
-
 /**
  * Peak resident set size of this process in MiB (getrusage
  * ru_maxrss; kilobytes on Linux). Host-side observability only —
@@ -285,18 +215,34 @@ peakRssMb()
     return static_cast<double>(usage.ru_maxrss) / 1024.0;
 }
 
-/** Print one normalized-bar row. */
-inline void
-printRow(const std::string &label, double value, const char *unit = "x")
+/** One fatal self-check of a JSON bench. */
+struct Check
 {
-    std::printf("  %-28s %10.2f %s\n", label.c_str(), value, unit);
-}
+    std::string name;
+    double value = 0.0;
+    bool ok = false;
+};
 
-/** Print a section header. */
-inline void
-printHeader(const std::string &title)
+/**
+ * Print the closing `checks` list and `ok` field of a bench's JSON
+ * document. Returns the process exit code: 0 when every check passed.
+ */
+inline int
+printChecks(const std::vector<Check> &checks)
 {
-    std::printf("\n=== %s ===\n", title.c_str());
+    std::printf("  \"checks\": [\n");
+    bool all_ok = true;
+    for (std::size_t i = 0; i < checks.size(); ++i) {
+        all_ok = all_ok && checks[i].ok;
+        std::printf("    {\"name\": \"%s\", \"value\": %.3f, "
+                    "\"ok\": %s}%s\n",
+                    checks[i].name.c_str(), checks[i].value,
+                    checks[i].ok ? "true" : "false",
+                    i + 1 == checks.size() ? "" : ",");
+    }
+    std::printf("  ],\n");
+    std::printf("  \"ok\": %s\n}\n", all_ok ? "true" : "false");
+    return all_ok ? 0 : 1;
 }
 
 } // namespace bench

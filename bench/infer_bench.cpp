@@ -52,14 +52,7 @@ namespace
 
 using namespace darth;
 
-struct Check
-{
-    std::string name;
-    double value = 0.0;
-    bool ok = false;
-};
-
-std::vector<Check> g_checks;
+std::vector<bench::Check> g_checks;
 
 /** Host wall-clock timer for the informational wall_ms fields. */
 struct WallTimer
@@ -336,17 +329,5 @@ main(int argc, char **argv)
     runResnet(resnet_batch, true);
     std::printf("  ],\n");
 
-    std::printf("  \"checks\": [\n");
-    bool all_ok = true;
-    for (std::size_t i = 0; i < g_checks.size(); ++i) {
-        all_ok = all_ok && g_checks[i].ok;
-        std::printf("    {\"name\": \"%s\", \"value\": %.3f, "
-                    "\"ok\": %s}%s\n",
-                    g_checks[i].name.c_str(), g_checks[i].value,
-                    g_checks[i].ok ? "true" : "false",
-                    i + 1 == g_checks.size() ? "" : ",");
-    }
-    std::printf("  ],\n");
-    std::printf("  \"ok\": %s\n}\n", all_ok ? "true" : "false");
-    return all_ok ? 0 : 1;
+    return darth::bench::printChecks(g_checks);
 }

@@ -360,13 +360,6 @@ printChipArrayJson(const ServeReport &report)
     std::printf("     ],\n");
 }
 
-struct Check
-{
-    std::string name;
-    double value = 0.0;
-    bool ok = false;
-};
-
 /** Per-chip front-end ingest window used by the scaling cells. */
 constexpr std::size_t kScalingWindowDepth = 2;
 
@@ -1300,7 +1293,7 @@ runMillionExperiment(bool smoke)
     fs::remove_all(root, cleanup_ec);
 
     // The acceptance criteria, fatal like every other self-check.
-    std::vector<Check> checks;
+    std::vector<bench::Check> checks;
     checks.push_back(
         {"million_all_completed",
          static_cast<double>(full.report.completed),
@@ -1322,19 +1315,7 @@ runMillionExperiment(bool smoke)
                           : 0.0,
          comp.outputRecords < full.records});
 
-    std::printf("  \"checks\": [\n");
-    bool all_ok = true;
-    for (std::size_t i = 0; i < checks.size(); ++i) {
-        all_ok = all_ok && checks[i].ok;
-        std::printf("    {\"name\": \"%s\", \"value\": %.3f, "
-                    "\"ok\": %s}%s\n",
-                    checks[i].name.c_str(), checks[i].value,
-                    checks[i].ok ? "true" : "false",
-                    i + 1 == checks.size() ? "" : ",");
-    }
-    std::printf("  ],\n");
-    std::printf("  \"ok\": %s\n}\n", all_ok ? "true" : "false");
-    return all_ok ? 0 : 1;
+    return bench::printChecks(checks);
 }
 
 } // namespace
@@ -1493,7 +1474,7 @@ main(int argc, char **argv)
     std::printf("  ],\n");
 
     // Self-checks (the acceptance criteria).
-    std::vector<Check> checks;
+    std::vector<bench::Check> checks;
     checks.push_back({"scaling_speedup_4chip", best_speedup,
                       best_speedup >= 3.5});
     // The speedup ratio alone is structurally window-bound (both
@@ -1639,17 +1620,5 @@ main(int argc, char **argv)
                       static_cast<double>(fcell.fleet.chipDowns),
                       fcell.fleet.chipDowns >= 1});
 
-    std::printf("  \"checks\": [\n");
-    bool all_ok = true;
-    for (std::size_t i = 0; i < checks.size(); ++i) {
-        all_ok = all_ok && checks[i].ok;
-        std::printf("    {\"name\": \"%s\", \"value\": %.3f, "
-                    "\"ok\": %s}%s\n",
-                    checks[i].name.c_str(), checks[i].value,
-                    checks[i].ok ? "true" : "false",
-                    i + 1 == checks.size() ? "" : ",");
-    }
-    std::printf("  ],\n");
-    std::printf("  \"ok\": %s\n}\n", all_ok ? "true" : "false");
-    return all_ok ? 0 : 1;
+    return bench::printChecks(checks);
 }

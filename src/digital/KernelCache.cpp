@@ -2,6 +2,8 @@
 
 #include <vector>
 
+#include "common/Logging.h"
+
 namespace darth
 {
 namespace digital
@@ -23,10 +25,10 @@ KernelCache::compile(const BitProgram &program)
     if (program.carryOutReg >= program.numRegs)
         return kernel;
 
-    // SSA-purity guard: the interpreter's scratch registers persist
-    // across bit positions, so a program is a pure function of
-    // (a, b, cin) only if every scratch register is written before it
-    // is read. Anything else falls back to the interpreter.
+    // SSA-purity guard: BitProgram::evaluate's scratch registers
+    // persist across bit positions, so a program is a pure function
+    // of (a, b, cin) only if every scratch register is written before
+    // it is read. Anything else is refused.
     std::vector<bool> defined(static_cast<std::size_t>(program.numRegs),
                               false);
     defined[kRegA] = defined[kRegB] = true;
@@ -88,6 +90,11 @@ KernelCache::macro(MacroKind kind, LogicFamilyKind family)
     Entry entry;
     entry.program = synthesizeMacro(kind, LogicFamily(family));
     entry.kernel = compile(entry.program);
+    // Pipelines execute only compiled kernels; every synthesized
+    // macro is SSA-pure (KernelCacheTest holds all of them).
+    if (!entry.kernel.valid)
+        darth_panic("KernelCache: synthesized ", macroName(kind),
+                    " program does not compile");
     return entries_.emplace(key, std::move(entry)).first->second;
 }
 

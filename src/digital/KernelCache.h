@@ -3,25 +3,24 @@
  * Process-wide compiled-kernel cache: the dynamic-translation layer
  * of the digital PUM simulator.
  *
- * Every Pipeline used to synthesize its own gate programs and walk
- * their ops per macro call. Both costs are paid once per process now:
+ * Synthesis and compilation are paid once per process:
  *
  *   1. Synthesized BitPrograms are cached per (macro kind, logic
  *      family) — the program depends on nothing else — so scratch
- *      KernelModel pipelines stop re-deriving them.
+ *      KernelModel pipelines never re-derive them.
  *   2. Each cached program is additionally *compiled*: a per-bit gate
  *      program is a pure Boolean function of (a, b, cin), so it
  *      collapses to two 8-entry truth tables (result and carry-out).
- *      Execution evaluates those tables word-parallel with a handful
- *      of branch-free mask operations instead of interpreting the op
- *      list — same bits out, an order of magnitude fewer host ops.
+ *      Pipelines evaluate those tables word-parallel with a handful
+ *      of branch-free mask operations; the op list is never walked.
  *
  * Compilation is conservative: a program that reads a scratch
  * register before writing it is not a pure function of its inputs
- * under the interpreter's persistent-scratch semantics, so it is
- * left uncompiled and the interpreter remains the executor. The
- * timing/energy model is untouched either way — op counts and stage
- * reservations still come from the synthesized program.
+ * under BitProgram::evaluate's persistent-scratch semantics, so
+ * compile() refuses it. Every synthesized macro compiles, and macro()
+ * panics if one ever does not. The timing/energy model is untouched —
+ * op counts and stage reservations still come from the synthesized
+ * program.
  */
 
 #ifndef DARTH_DIGITAL_KERNELCACHE_H
@@ -51,7 +50,7 @@ namespace digital
  */
 struct CompiledKernel
 {
-    /** False when the program is not SSA-pure (interpreter fallback). */
+    /** False when the program is not SSA-pure (compile() refused it). */
     bool valid = false;
     bool hasCarry = false;
     /**
@@ -107,8 +106,9 @@ class KernelCache
 
     /**
      * Look up (synthesizing + compiling on first use) the entry for a
-     * macro kind under a logic family. The returned reference is
-     * stable for the process lifetime. Thread-safe.
+     * macro kind under a logic family; its kernel is always valid.
+     * The returned reference is stable for the process lifetime.
+     * Thread-safe.
      */
     const Entry &macro(MacroKind kind, LogicFamilyKind family);
 

@@ -235,54 +235,18 @@ Pipeline::runProgram(const KernelCache::Entry &entry, std::size_t dst,
                      std::size_t a, std::size_t b, std::size_t bits,
                      u64 carry, bool chain_carry)
 {
-    // Column i of every scratch register is one packed word, like
-    // the register file's; masking each op to the width keeps the
-    // elements past `width` zero.
-
-    // Fast path: the compiled truth-table kernel replaces the op
-    // walk with a fixed handful of word operations per bit column.
+    // Column i of every register is one packed word; the compiled
+    // truth-table kernel evaluates a whole bit column in a handful of
+    // word operations, and masking to the width keeps the elements
+    // past `width` zero.
     const CompiledKernel &kernel = entry.kernel;
-    if (kernel.valid) {
-        for (std::size_t bit = 0; bit < bits; ++bit) {
-            const u64 wa = bits_[a][bit];
-            const u64 wb = bits_[b][bit];
-            const u64 out = kernel.evalResult(wa, wb, carry) & widthMask_;
-            if (chain_carry && kernel.hasCarry)
-                carry = kernel.evalCarry(wa, wb, carry) & widthMask_;
-            bits_[dst][bit] = out;
-        }
-        return;
-    }
-
-    const BitProgram &program = entry.program;
-    std::vector<u64> regs(static_cast<std::size_t>(program.numRegs),
-                          0ULL);
     for (std::size_t bit = 0; bit < bits; ++bit) {
-        regs[kRegA] = bits_[a][bit];
-        regs[kRegB] = bits_[b][bit];
-        regs[kRegCin] = carry;
-        regs[kRegZero] = 0ULL;
-        for (const auto &op : program.ops) {
-            const u64 sa = regs[static_cast<std::size_t>(op.srcA)];
-            const u64 sb = regs[static_cast<std::size_t>(op.srcB)];
-            u64 out = 0;
-            switch (op.prim) {
-              case Prim::Nor: out = ~(sa | sb); break;
-              case Prim::Or: out = sa | sb; break;
-              case Prim::And: out = sa & sb; break;
-              case Prim::Nand: out = ~(sa & sb); break;
-              case Prim::Xor: out = sa ^ sb; break;
-              case Prim::Xnor: out = ~(sa ^ sb); break;
-              case Prim::Not: out = ~sa; break;
-              case Prim::Copy: out = sa; break;
-            }
-            regs[static_cast<std::size_t>(op.dst)] = out & widthMask_;
-        }
-        bits_[dst][bit] =
-            regs[static_cast<std::size_t>(program.resultReg)] &
-            widthMask_;
-        if (chain_carry && program.hasCarryChain())
-            carry = regs[static_cast<std::size_t>(program.carryOutReg)];
+        const u64 wa = bits_[a][bit];
+        const u64 wb = bits_[b][bit];
+        const u64 out = kernel.evalResult(wa, wb, carry) & widthMask_;
+        if (chain_carry && kernel.hasCarry)
+            carry = kernel.evalCarry(wa, wb, carry) & widthMask_;
+        bits_[dst][bit] = out;
     }
 }
 

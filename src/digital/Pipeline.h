@@ -192,9 +192,9 @@ class Pipeline
                         Cycle ops_per_stage, bool carry_chained);
 
     /**
-     * Functionally evaluate a cached macro column-parallel: the
-     * compiled truth-table kernel when the program compiled, the
-     * BitProgram interpreter otherwise (bit-identical either way).
+     * Functionally evaluate a cached macro column-parallel through
+     * its compiled truth-table kernel (KernelCache compiles every
+     * synthesized macro).
      *
      * @param carry        Initial carry column fed to kRegCin.
      * @param chain_carry  Propagate carry-out between bit positions.

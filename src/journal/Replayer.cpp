@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "journal/Segment.h"
+#include "model/Params.h"
 #include "serve/ChipConfig.h"
 
 namespace darth
@@ -16,6 +17,14 @@ namespace journal
 
 namespace
 {
+
+/** Largest slot tile count a setup may name: the iso-area chip's
+ *  (Table 3), so no count can size a chip past the modelled die. */
+std::size_t
+maxSlotHcts()
+{
+    return model::ChipModel{}.hctCount();
+}
 
 /** The ChipSpec a slot's factory inputs build. */
 serve::ChipSpec
@@ -249,6 +258,11 @@ parseHeaderRecords(const std::vector<JournalEvent> &ev,
             throw std::runtime_error(
                 "Replayer: pool_chip record names unknown slot kind " +
                 std::to_string(e.b));
+        if (e.c > maxSlotHcts())
+            throw std::runtime_error(
+                "Replayer: pool_chip record names " +
+                std::to_string(e.c) + " tiles, above the iso-area "
+                "chip's " + std::to_string(maxSlotHcts()));
         PoolSlotSetup slot;
         slot.kind = static_cast<SlotKind>(e.b);
         slot.hcts = static_cast<std::size_t>(e.c);
@@ -398,6 +412,11 @@ ServeRunSetup::poolConfig() const
         if (slot.kind != SlotKind::Default && slot.hcts == 0)
             throw std::invalid_argument(
                 "ServeRunSetup: slot tile count must be positive");
+        if (slot.hcts > maxSlotHcts())
+            throw std::invalid_argument(
+                "ServeRunSetup: slot tile count " +
+                std::to_string(slot.hcts) + " exceeds the iso-area "
+                "chip's " + std::to_string(maxSlotHcts()));
     }
 
     serve::PoolConfig cfg;

@@ -78,7 +78,8 @@ enum class SlotKind : u32
 struct PoolSlotSetup
 {
     SlotKind kind = SlotKind::Default;
-    /** Tile-count factory input (see SlotKind). */
+    /** Tile-count factory input (see SlotKind); at most the
+     *  iso-area chip's model::ChipModel::hctCount() (Table 3). */
     std::size_t hcts = 0;
     double clockGHz = 1.0;
 };
@@ -129,7 +130,7 @@ struct ServeRunSetup
 
     /** The PoolConfig this setup builds (throws std::invalid_argument
      *  on an unbuildable setup: no slots, non-uniform uniform pool,
-     *  bad clock). */
+     *  bad clock, a tile count above the iso-area chip's). */
     serve::PoolConfig poolConfig() const;
 };
 

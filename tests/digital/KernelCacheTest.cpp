@@ -1,10 +1,10 @@
 /**
  * @file
  * Tests for the process-wide compiled-kernel cache: truth-table
- * compilation must be a bit-exact stand-in for interpreting the
- * synthesized gate program (every macro kind, both logic families,
- * all widths), the non-SSA conservative fallback must refuse to
- * compile, and the cache's hit/miss counters must move.
+ * compilation must be a bit-exact stand-in for the scalar reference
+ * BitProgram::evaluate (every macro kind, both logic families, all
+ * widths), a non-SSA program must be refused, and the cache's
+ * hit/miss counters must move.
  */
 
 #include <cstddef>
@@ -36,8 +36,8 @@ class KernelCacheTest : public ::testing::TestWithParam<LogicFamilyKind>
 
 /**
  * Every synthesized macro compiles (the library programs are all
- * SSA-pure) and the compiled word-parallel evaluation matches the
- * interpreter lane for lane. The three operand words below place
+ * SSA-pure) and the compiled word-parallel evaluation matches
+ * BitProgram::evaluate lane for lane. The three operand words below place
  * every (a, b, cin) minterm combination in some lane, so the 64
  * lanes jointly cover the whole truth table.
  */
@@ -64,9 +64,10 @@ TEST_P(KernelCacheTest, CompiledMatchesInterpreterEveryMacro)
             const bool r = program.evaluate(a, b, c, &cout);
             EXPECT_EQ((wr >> lane) & 1, static_cast<u64>(r))
                 << macroName(kind) << " lane " << lane;
-            if (kernel.hasCarry)
+            if (kernel.hasCarry) {
                 EXPECT_EQ((wcout >> lane) & 1, static_cast<u64>(cout))
                     << macroName(kind) << " carry lane " << lane;
+            }
         }
     }
 }
@@ -164,9 +165,10 @@ INSTANTIATE_TEST_SUITE_P(AllFamilies, KernelCacheTest,
 
 /**
  * A program that reads a scratch register before writing it is not a
- * pure function of (a, b, cin) under the interpreter's persistent-
- * scratch semantics; compile() must refuse it so the interpreter
- * stays the executor.
+ * pure function of (a, b, cin) under BitProgram::evaluate's
+ * persistent-scratch semantics; compile() must refuse it (pipelines
+ * run compiled kernels only, so KernelCache::macro panics on a
+ * refused program).
  */
 TEST(KernelCacheCompile, NonSsaProgramFallsBackToInterpreter)
 {

@@ -17,6 +17,7 @@
 
 #include "journal/Journal.h"
 #include "journal/Replayer.h"
+#include "model/Params.h"
 #include "serve/TrafficGen.h"
 
 namespace darth
@@ -280,25 +281,32 @@ TEST(ReplayerTest, HugeAnnouncedCountsAreRejectedNotAllocated)
     constexpr u64 kHuge = u64{1} << 58;
 
     for (const EventKind kind :
-         {EventKind::RunBegin, EventKind::TraceBegin}) {
-        Journal inflated;
-        bool found = false;
-        for (std::size_t i = 0; i < rec.journal.size(); ++i) {
-            JournalEvent e = rec.journal.event(i);
-            if (e.kind == kind) {
-                // RunBegin carries the slot count in values[1],
-                // TraceBegin the request count in a.
-                if (kind == EventKind::RunBegin)
-                    e.values[1] = static_cast<i64>(kHuge);
-                else
-                    e.a = kHuge;
-                found = true;
+         {EventKind::RunBegin, EventKind::TraceBegin,
+          EventKind::PoolChip}) {
+        for (const u64 huge : {u64{1} << 40, kHuge}) {
+            Journal inflated;
+            bool found = false;
+            for (std::size_t i = 0; i < rec.journal.size(); ++i) {
+                JournalEvent e = rec.journal.event(i);
+                if (e.kind == kind) {
+                    // RunBegin carries the slot count in values[1],
+                    // TraceBegin the request count and PoolChip the
+                    // slot's tile count in a and c.
+                    if (kind == EventKind::RunBegin)
+                        e.values[1] = static_cast<i64>(huge);
+                    else if (kind == EventKind::TraceBegin)
+                        e.a = huge;
+                    else
+                        e.c = huge;
+                    found = true;
+                }
+                inflated.append(std::move(e));
             }
-            inflated.append(std::move(e));
+            ASSERT_TRUE(found) << eventKindName(kind);
+            EXPECT_THROW(Replayer{std::move(inflated)},
+                         std::runtime_error)
+                << eventKindName(kind) << " " << huge;
         }
-        ASSERT_TRUE(found) << eventKindName(kind);
-        EXPECT_THROW(Replayer{std::move(inflated)}, std::runtime_error)
-            << eventKindName(kind);
     }
 }
 
@@ -312,6 +320,11 @@ TEST(ReplayerTest, PoolConfigValidatesSlots)
     EXPECT_THROW(setup.poolConfig(), std::invalid_argument);
 
     setup.slots = {PoolSlotSetup{SlotKind::Uniform, 2, -1.0}};
+    EXPECT_THROW(setup.poolConfig(), std::invalid_argument);
+
+    // No slot outgrows the iso-area chip (Table 3's 1,792 tiles).
+    const std::size_t die = model::ChipModel{}.hctCount();
+    setup.slots = {PoolSlotSetup{SlotKind::Sar, die + 1, 1.0}};
     EXPECT_THROW(setup.poolConfig(), std::invalid_argument);
 
     // A uniform pool's slots must be identical.

@@ -7,70 +7,35 @@
  * real trees it scans by default (tools/determinism_lint.py
  * SCAN_DIRS).
  *
- * The lint is a python3 script; when no python3 is on PATH (not the
- * case in CI or the dev image) the tests skip rather than fail.
+ * The lint is a python3 script (run through ToolRun.h); without
+ * python3 on PATH the tests skip rather than fail.
  */
 
-#include <array>
-#include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "ToolRun.h"
+
 namespace
 {
 
-#ifndef DARTH_SOURCE_DIR
-#error "DARTH_SOURCE_DIR must point at the repository root"
-#endif
+using darth::tooltest::kFixtures;
+using darth::tooltest::kRoot;
+using darth::tooltest::ToolResult;
 
-const std::string kRoot = DARTH_SOURCE_DIR;
 const std::string kLint = kRoot + "/tools/determinism_lint.py";
-const std::string kFixtures = kRoot + "/tests/tools/fixtures";
 
-struct LintResult
-{
-    int exitCode = -1;
-    std::string output;
-};
-
-bool
-havePython()
-{
-    return std::system("python3 --version > /dev/null 2>&1") == 0;
-}
-
-/** Run the lint with the given arguments; stderr folds into stdout
- *  so the summary line is visible to assertions too. */
-LintResult
+ToolResult
 runLint(const std::string &args)
 {
-    const std::string cmd =
-        "python3 " + kLint + " " + args + " 2>&1";
-    LintResult result;
-    FILE *pipe = popen(cmd.c_str(), "r");
-    if (pipe == nullptr)
-        return result;
-    std::array<char, 512> buf;
-    while (std::fgets(buf.data(), buf.size(), pipe) != nullptr)
-        result.output += buf.data();
-    const int status = pclose(pipe);
-    result.exitCode =
-        WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-    return result;
+    return darth::tooltest::runTool(kLint, args);
 }
-
-#define SKIP_WITHOUT_PYTHON()                                        \
-    do {                                                             \
-        if (!havePython())                                           \
-            GTEST_SKIP() << "python3 not on PATH";                   \
-    } while (0)
 
 TEST(DeterminismLint, FlagsEverySeededViolationClass)
 {
     SKIP_WITHOUT_PYTHON();
-    const LintResult r = runLint("--allowlist /dev/null " +
+    const ToolResult r = runLint("--allowlist /dev/null " +
                                  kFixtures + "/violations.cxx");
     EXPECT_EQ(r.exitCode, 1) << r.output;
     // One hit per rule class seeded in the fixture.
@@ -94,7 +59,7 @@ TEST(DeterminismLint, FlagsEverySeededViolationClass)
 TEST(DeterminismLint, FindingsNameFileAndLine)
 {
     SKIP_WITHOUT_PYTHON();
-    const LintResult r = runLint("--allowlist /dev/null " +
+    const ToolResult r = runLint("--allowlist /dev/null " +
                                  kFixtures + "/violations.cxx");
     // The unordered iteration feeding order sits on a known line of
     // the fixture; pin one exact location so reports stay precise.
@@ -106,7 +71,7 @@ TEST(DeterminismLint, FindingsNameFileAndLine)
 TEST(DeterminismLint, QuietOnCleanCode)
 {
     SKIP_WITHOUT_PYTHON();
-    const LintResult r = runLint("--allowlist /dev/null " +
+    const ToolResult r = runLint("--allowlist /dev/null " +
                                  kFixtures + "/clean.cxx");
     EXPECT_EQ(r.exitCode, 0) << r.output;
     EXPECT_NE(r.output.find("clean"), std::string::npos) << r.output;
@@ -117,7 +82,7 @@ TEST(DeterminismLint, CommentsAndStringsDoNotTrip)
     SKIP_WITHOUT_PYTHON();
     // clean.cxx mentions rand() and std::chrono in comments and a
     // string literal; a finding there would be a stripping bug.
-    const LintResult r = runLint("--allowlist /dev/null " +
+    const ToolResult r = runLint("--allowlist /dev/null " +
                                  kFixtures + "/clean.cxx");
     EXPECT_EQ(r.output.find("[wall-clock]"), std::string::npos)
         << r.output;
@@ -128,14 +93,14 @@ TEST(DeterminismLint, CommentsAndStringsDoNotTrip)
 TEST(DeterminismLint, AllowlistSuppressesAuditedFindings)
 {
     SKIP_WITHOUT_PYTHON();
-    const LintResult with =
+    const ToolResult with =
         runLint("--allowlist " + kFixtures + "/allow_fixture.txt " +
                 kFixtures + "/allowed.cxx");
     EXPECT_EQ(with.exitCode, 0) << with.output;
 
     // The same file without the allowlist must fail: the pass is
     // doing the suppression, not the rules going soft.
-    const LintResult without = runLint(
+    const ToolResult without = runLint(
         "--allowlist /dev/null " + kFixtures + "/allowed.cxx");
     EXPECT_EQ(without.exitCode, 1) << without.output;
     EXPECT_NE(without.output.find("[static-mutable-local]"),
@@ -152,7 +117,7 @@ TEST(DeterminismLint, RealTreeHasNoUnallowlistedFindings)
     SKIP_WITHOUT_PYTHON();
     // The acceptance bar: every default scan tree is clean under the
     // checked-in allowlist.
-    const LintResult r = runLint("--root " + kRoot);
+    const ToolResult r = runLint("--root " + kRoot);
     EXPECT_EQ(r.exitCode, 0) << r.output;
 }
 

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Diff two bench JSON snapshots (BENCH_serve.json / BENCH_infer.json).
+"""Diff two bench JSON snapshots (BENCH_serve.json / BENCH_infer.json /
+BENCH_paper.json).
 
 The benches are deterministic, so a snapshot diff is a real behavior
 change. This tool turns a raw JSON diff into the performance story:
@@ -11,8 +12,9 @@ and what CI runs to prove the checked-in snapshots match the tree.
 
 Cells inside experiment arrays are matched by their identifying
 fields (pool/policy/mix, granularity, depth, chips/load, class
-name), never by array index, so reordering or inserting cells does
-not misattribute deltas.
+name; a paper-ledger cell by figure/row/system), never by array
+index, so reordering or inserting cells does not misattribute
+deltas.
 
 Exit status:
   0  no regression (deltas may exist; they are reported)
@@ -61,6 +63,7 @@ def is_host_info(path):
 IDENTITY_FIELDS = [
     "name", "pool", "policy", "mix", "granularity", "depth",
     "chips", "tenants", "load", "kind", "chip", "experiment",
+    "figure", "row", "system",
 ]
 
 

@@ -2,13 +2,15 @@
 # Refresh the checked-in bench trajectory snapshots.
 #
 # BENCH_serve.json and BENCH_infer.json (repo root) record the JSON
-# emitted by `serve_bench --smoke` and `infer_bench --smoke` at the
-# commit that last touched performance-relevant code. They are the
-# repo's performance trajectory: diffing a snapshot against its
-# predecessor shows exactly which cycle counts, speedups, and
-# latencies a change moved. The benches are fully deterministic
-# (fixed seeds, simulated cycles), so on one source tree the
-# snapshots are bit-stable — any diff is a real behavior change.
+# emitted by `serve_bench --smoke` and `infer_bench --smoke`, and
+# BENCH_paper.json the paper ledger `paper_bench` emits (it takes no
+# arguments), at the commit that last touched performance-relevant
+# code. They are the repo's performance trajectory: diffing a
+# snapshot against its predecessor shows exactly which cycle counts,
+# speedups, latencies and paper-figure cells a change moved. The
+# benches are fully deterministic (fixed seeds, simulated cycles), so
+# on one source tree the snapshots are bit-stable — any diff is a
+# real behavior change.
 #
 # Usage: tools/update_bench_snapshots.sh [build-dir]   (default: build)
 #
@@ -20,8 +22,9 @@ set -eu
 
 cd "$(dirname "$0")/.."
 build=${1:-build}
+benches="serve infer paper"
 
-for bench in serve infer; do
+for bench in $benches; do
     exe="$build/${bench}_bench"
     if [ ! -x "$exe" ]; then
         echo "error: $exe not found or not executable" \
@@ -33,13 +36,17 @@ done
 tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT
 
-for bench in serve infer; do
+for bench in $benches; do
     out="$tmpdir/BENCH_${bench}.json"
-    # The self-checks run inside --smoke; a failed check exits
+    case $bench in
+        paper) args= ;;
+        *) args=--smoke ;;
+    esac
+    # The self-checks run inside each bench; a failed check exits
     # non-zero and aborts the refresh before anything is replaced.
-    "./$build/${bench}_bench" --smoke > "$out"
+    "./$build/${bench}_bench" $args > "$out"
     python3 -m json.tool "$out" > /dev/null || {
-        echo "error: ${bench}_bench --smoke did not emit valid JSON" >&2
+        echo "error: ${bench}_bench did not emit valid JSON" >&2
         exit 1
     }
 done
@@ -48,7 +55,7 @@ done
 # is informational here — the point of this script is to accept a
 # legitimate movement — so regressions are printed but do not abort.
 # CI runs the same diff with its gating exit code.
-for bench in serve infer; do
+for bench in $benches; do
     if [ -f "BENCH_${bench}.json" ]; then
         echo "--- BENCH_${bench}.json delta ---"
         python3 tools/bench_diff.py \
@@ -58,7 +65,7 @@ for bench in serve infer; do
     fi
 done
 
-for bench in serve infer; do
+for bench in $benches; do
     mv "$tmpdir/BENCH_${bench}.json" "BENCH_${bench}.json"
     echo "updated BENCH_${bench}.json"
 done

@@ -1,9 +1,8 @@
 #include "journal/Journal.h"
 
 #include <algorithm>
-#include <fstream>
+#include <istream>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 
 #include "common/Fnv.h"
@@ -53,6 +52,15 @@ appendLeU64(std::vector<unsigned char> &buf, u64 v)
 {
     for (int shift = 0; shift < 64; shift += 8)
         buf.push_back(static_cast<unsigned char>((v >> shift) & 0xff));
+}
+
+void
+appendFrame(std::vector<unsigned char> &buf,
+            const std::vector<unsigned char> &rec, u64 checksum)
+{
+    appendLeU32(buf, static_cast<u32>(rec.size()));
+    buf.insert(buf.end(), rec.begin(), rec.end());
+    appendLeU64(buf, checksum);
 }
 
 u64
@@ -198,34 +206,6 @@ journalChainBasis()
     return fnv1aBytes(buf.data(), buf.size());
 }
 
-namespace
-{
-
-/** Minimal JSON string escaping for event notes. */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char ch : s) {
-        unsigned char c = static_cast<unsigned char>(ch);
-        if (ch == '"' || ch == '\\') {
-            out.push_back('\\');
-            out.push_back(ch);
-        } else if (c < 0x20) {
-            static const char hex[] = "0123456789abcdef";
-            out += "\\u00";
-            out.push_back(hex[(c >> 4) & 0xf]);
-            out.push_back(hex[c & 0xf]);
-        } else {
-            out.push_back(ch);
-        }
-    }
-    return out;
-}
-
-} // namespace
-
 const char *
 eventKindName(EventKind kind)
 {
@@ -293,10 +273,8 @@ Journal::append(JournalEvent event)
     const std::size_t index = count_++;
     if (sink_ != nullptr)
         sink_->onRecord(event, index, checksum, encoded);
-    if (retain_) {
-        checksums_.push_back(checksum);
+    if (retain_)
         events_.push_back(std::move(event));
-    }
     return index;
 }
 
@@ -333,17 +311,6 @@ Journal::event(std::size_t i) const
 }
 
 u64
-Journal::recordChecksum(std::size_t i) const
-{
-    if (!retain_)
-        throw std::logic_error(
-            "journal: recordChecksum requires event retention");
-    if (i >= checksums_.size())
-        throw std::out_of_range("journal: event index out of range");
-    return checksums_[i];
-}
-
-u64
 Journal::chainChecksum() const
 {
     return count_ == 0 ? journalChainBasis() : chainTail_;
@@ -373,12 +340,11 @@ Journal::writeBinary(std::ostream &out) const
     appendLeU32(buf, kFormatVersion);
     appendLeU32(buf, 0); // reserved
     appendLeU64(buf, events_.size());
-    for (std::size_t i = 0; i < events_.size(); ++i) {
-        const std::vector<unsigned char> rec =
-            encodeEventBytes(events_[i]);
-        appendLeU32(buf, static_cast<u32>(rec.size()));
-        buf.insert(buf.end(), rec.begin(), rec.end());
-        appendLeU64(buf, checksums_[i]);
+    u64 chain = journalChainBasis();
+    for (const JournalEvent &e : events_) {
+        const std::vector<unsigned char> rec = encodeEventBytes(e);
+        chain = fnv1aBytes(rec.data(), rec.size(), chain);
+        appendFrame(buf, rec, chain);
     }
     out.write(reinterpret_cast<const char *>(buf.data()),
               static_cast<std::streamsize>(buf.size()));
@@ -413,56 +379,6 @@ Journal::readBinary(std::istream &in)
         out.append(decodeEventBytes(rec, what));
     }
     return out;
-}
-
-void
-Journal::writeBinaryFile(const std::string &path) const
-{
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out)
-        throw std::runtime_error("journal: cannot open " + path +
-                                 " for writing");
-    writeBinary(out);
-    out.flush();
-    if (!out)
-        throw std::runtime_error("journal: write to " + path +
-                                 " failed");
-}
-
-Journal
-Journal::readBinaryFile(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        throw std::runtime_error("journal: cannot open " + path);
-    return readBinary(in);
-}
-
-void
-Journal::writeJsonl(std::ostream &out) const
-{
-    if (!retain_)
-        throw std::logic_error(
-            "journal: writeJsonl requires event retention");
-    out << "{\"format\":\"darth-journal\",\"version\":"
-        << kFormatVersion << ",\"events\":" << events_.size()
-        << ",\"chain_checksum\":\"" << hexU64(chainChecksum())
-        << "\"}\n";
-    for (std::size_t i = 0; i < events_.size(); ++i) {
-        const JournalEvent &e = events_[i];
-        out << "{\"i\":" << i << ",\"kind\":\"" << eventKindName(e.kind)
-            << "\",\"cycle\":" << e.cycle << ",\"a\":" << e.a
-            << ",\"b\":" << e.b << ",\"c\":" << e.c << ",\"d\":" << e.d;
-        if (!e.note.empty())
-            out << ",\"note\":\"" << jsonEscape(e.note) << "\"";
-        if (!e.values.empty()) {
-            out << ",\"values\":[";
-            for (std::size_t v = 0; v < e.values.size(); ++v)
-                out << (v ? "," : "") << e.values[v];
-            out << "]";
-        }
-        out << ",\"checksum\":\"" << hexU64(checksums_[i]) << "\"}\n";
-    }
 }
 
 } // namespace journal

@@ -22,14 +22,16 @@
  * silently wrong history. chainChecksum() — the last record's
  * checksum — is therefore a digest of the entire run.
  *
- * Two serializations share one canonical record encoding:
+ * Two containers share one canonical record encoding and one record
+ * frame (appendFrame / readRecordFrame):
  *
- *  - writeBinary / readBinary — the compact durable format
- *    (little-endian, fixed header "DARTHJNL" + format version).
+ *  - writeBinary / readBinary — the monolithic stream form
+ *    (little-endian, fixed header "DARTHJNL" + format version +
+ *    record count), for a retained journal passed through a stream.
+ *    Its record count is what catches a cut at a record boundary.
  *    write(read(write(j))) is byte-identical to write(j).
- *  - writeJsonl — one JSON object per line for postmortem grepping
- *    and external tooling; human-readable export only (the binary
- *    format is the one that round-trips).
+ *  - journal/Segment.h's segment directory — the on-disk form a
+ *    SegmentWriter sink streams to as records are appended.
  *
  * The journal itself is serve-agnostic: events carry a kind, a
  * simulated-cycle stamp, four 64-bit arguments, an optional short
@@ -176,7 +178,7 @@ enum class EventKind : u32
     RequestSummary,
 };
 
-/** Short lowercase kind name (JSONL "kind" field). */
+/** Short lowercase kind name (diagnostics). */
 const char *eventKindName(EventKind kind);
 
 struct JournalEvent;
@@ -199,6 +201,12 @@ u64 journalChainBasis();
  *  monolithic binary journal and journal/Segment.h's segments). */
 void appendLeU32(std::vector<unsigned char> &buf, u32 v);
 void appendLeU64(std::vector<unsigned char> &buf, u64 v);
+
+/** Append one record frame of the durable formats: u32 record
+ *  length, canonical record bytes, u64 chained checksum. */
+void appendFrame(std::vector<unsigned char> &buf,
+                 const std::vector<unsigned char> &rec, u64 checksum);
+
 /** Read one field; throws std::runtime_error naming `what` when the
  *  stream is truncated. */
 u32 readLeU32(std::istream &in, const std::string &what);
@@ -304,10 +312,10 @@ class Journal
      * `retainEvents` false the journal stops holding decoded
      * records in memory — it becomes a pure chain accumulator
      * (size() / chainChecksum() stay exact; events() / event(i) /
-     * recordChecksum(i) / writeBinary / writeJsonl throw
-     * std::logic_error). A million-request run records through a
-     * non-retaining journal + SegmentWriter at flat memory. Must be
-     * called on an empty journal (std::logic_error otherwise).
+     * writeBinary throw std::logic_error). A million-request run
+     * records through a non-retaining journal + SegmentWriter at
+     * flat memory. Must be called on an empty journal
+     * (std::logic_error otherwise).
      */
     void attachSink(JournalSink *sink, bool retainEvents = true);
 
@@ -317,14 +325,11 @@ class Journal
     std::size_t size() const { return count_; }
     bool empty() const { return count_ == 0; }
 
-    /** Chained checksum of record i (FNV-1a over its canonical
-     *  encoding, seeded with record i-1's checksum). */
-    u64 recordChecksum(std::size_t i) const;
-
     /**
      * Digest of the whole journal: the last record's chained
-     * checksum (the header basis when empty). Two journals with
-     * equal chains hold byte-identical histories.
+     * checksum — FNV-1a over its canonical encoding, seeded with the
+     * record before's (the header basis when empty). Two journals
+     * with equal chains hold byte-identical histories.
      */
     u64 chainChecksum() const;
 
@@ -339,7 +344,8 @@ class Journal
         return !(*this == other);
     }
 
-    /** Serialize to the compact binary format. */
+    /** Serialize to the monolithic binary format, re-deriving each
+     *  record's chained checksum as it writes. */
     void writeBinary(std::ostream &out) const;
 
     /**
@@ -351,22 +357,9 @@ class Journal
      */
     static Journal readBinary(std::istream &in);
 
-    /** writeBinary to a file (throws std::runtime_error on I/O
-     *  failure). */
-    void writeBinaryFile(const std::string &path) const;
-
-    /** readBinary from a file (throws std::runtime_error). */
-    static Journal readBinaryFile(const std::string &path);
-
-    /** One JSON object per event (after a header line); export
-     *  format for humans and external tools. */
-    void writeJsonl(std::ostream &out) const;
-
   private:
     /** Decoded records (empty when retention is off). */
     std::vector<JournalEvent> events_;
-    /** Chained checksum per record (parallel to events_). */
-    std::vector<u64> checksums_;
     /** Appended-record count (valid regardless of retention). */
     std::size_t count_ = 0;
     /** Last record's chained checksum (valid when count_ > 0). */

@@ -214,7 +214,6 @@ class Replayer
      *  throws std::runtime_error on a malformed or incomplete one. */
     explicit Replayer(Journal recorded);
 
-    const Journal &recorded() const { return recorded_; }
     const ServeRunSetup &setup() const { return setup_; }
     /** The arrival sequence, rebuilt from the Arrival records — or,
      *  on a compacted recording, from its RequestSummary records

@@ -88,9 +88,7 @@ SegmentWriter::onRecord(const JournalEvent &event, std::size_t index,
         openSegment(segmentsOpened_, index, chain_);
     std::vector<unsigned char> buf;
     buf.reserve(12 + encoded.size());
-    appendLeU32(buf, static_cast<u32>(encoded.size()));
-    buf.insert(buf.end(), encoded.begin(), encoded.end());
-    appendLeU64(buf, checksum);
+    appendFrame(buf, encoded, checksum);
     out_.write(reinterpret_cast<const char *>(buf.data()),
                static_cast<std::streamsize>(buf.size()));
     if (!out_)
@@ -99,7 +97,6 @@ SegmentWriter::onRecord(const JournalEvent &event, std::size_t index,
             std::to_string(segmentsOpened_ - 1) + " in " + dir_ +
             " failed");
     chain_ = checksum;
-    ++recordsWritten_;
     currentBytes_ += buf.size();
     if (currentBytes_ >= maxSegmentBytes_) {
         out_.flush();
@@ -233,8 +230,6 @@ Compactor::push(const JournalEvent &e)
         g.chip = e.c;
         g.arrivalNs = e.cycle;
         g.input = e.values;
-        if (e.a + 1 > maxRequest_)
-            maxRequest_ = e.a + 1;
         return;
     }
     case EventKind::Admit:
@@ -271,7 +266,6 @@ Compactor::push(const JournalEvent &e)
     }
     default:
         out_.append(e);
-        ++outputRecords_;
         return;
     }
 }
@@ -297,7 +291,6 @@ Compactor::flushClosed()
         s.values.insert(s.values.end(), g.input.begin(),
                         g.input.end());
         out_.append(std::move(s));
-        ++outputRecords_;
         groups_.erase(it);
         ++nextEmit_;
         it = groups_.find(nextEmit_);

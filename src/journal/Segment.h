@@ -95,8 +95,6 @@ class SegmentWriter : public JournalSink
 
     /** Segments opened so far (>= 1 once a record was written). */
     std::size_t segments() const { return segmentsOpened_; }
-    /** Records written across all segments. */
-    std::size_t records() const { return recordsWritten_; }
 
   private:
     void openSegment(std::size_t index, std::size_t baseRecord,
@@ -108,7 +106,6 @@ class SegmentWriter : public JournalSink
     bool open_ = false;
     std::size_t segmentsOpened_ = 0;
     std::size_t currentBytes_ = 0;
-    std::size_t recordsWritten_ = 0;
     u64 chain_ = 0;
 };
 
@@ -172,9 +169,6 @@ class Compactor
     void push(const JournalEvent &e);
     void finish();
 
-    /** Records appended to the output so far. */
-    std::size_t outputRecords() const { return outputRecords_; }
-
   private:
     struct Group
     {
@@ -198,9 +192,6 @@ class Compactor
     std::map<u64, Group> groups_;
     /** Next request index allowed to emit its summary. */
     u64 nextEmit_ = 0;
-    /** One past the highest request index seen. */
-    u64 maxRequest_ = 0;
-    std::size_t outputRecords_ = 0;
 };
 
 /** Result of compactSegments(). */

@@ -1,6 +1,7 @@
 #include "serve/Admission.h"
 
 #include <algorithm>
+#include <cmath>
 #include <deque>
 #include <functional>
 #include <limits>
@@ -194,9 +195,10 @@ struct LiveRequest
      *  always finishes on the chip it began on. */
     ModelRef model = kNoModel;
     std::size_t chip = 0;
-    /** Stage granularity: the in-flight run, and the chip admission
-     *  sequence number of its last admitted stage (an intervening
-     *  foreign admission marks interleaving). */
+    /** Inference requests: the in-flight run (from admission to
+     *  completion), and the chip admission sequence number of its
+     *  last admitted stage (an intervening foreign admission marks
+     *  interleaving). */
     std::unique_ptr<StagedInference> run;
     u64 lastAdmitSeq = 0;
     /** Completed or rejected: `values` (empty for a rejection) is
@@ -254,15 +256,11 @@ class RequestTable
 struct Pending
 {
     std::size_t reqIdx;
-    /** Single-MVM requests resolve this future... */
+    /** Single-MVM requests resolve this future; inference requests
+     *  resolve their LiveRequest's run (a whole-unit forward runs to
+     *  completion at admission)... */
     runtime::MvmFuture future;
-    /** ...whole-unit inference requests carry their already-run
-     *  outcome (the graph executes at admission; time stamps honour
-     *  the admission-time earliest bound either way)... */
-    bool isInference = false;
-    InferenceOutcome outcome;
-    /** ...and stage-granular admissions name one stage of their
-     *  request's in-flight run. */
+    /** ...and stage-granular admissions name one stage of it. */
     bool isStage = false;
     std::size_t stage = 0;
 };
@@ -1182,21 +1180,21 @@ class ServeEngine
         Pending pending;
         pending.reqIdx = i;
         if (pool_.isInference(entry.model)) {
+            if (!entry.run)
+                entry.run =
+                    pool_.beginInference(entry.model, req.input, at_cycle);
+            runtime::InferenceRun &run = *entry.run->run;
             if (staged_) {
                 // One window slot and one WFQ charge per *stage*: the
                 // forward advances one admission-sized step and re-queues
                 // for the next, so stages of different requests
                 // interleave on this chip.
-                if (!entry.run)
-                    entry.run = pool_.beginInference(entry.model, req.input,
-                                                     at_cycle);
-                StagedInference &run = *entry.run;
                 pending.isStage = true;
-                pending.stage = pool_.advanceInference(run, at_cycle);
-                charge = run.stageCharges[pending.stage];
+                pending.stage = run.submitNext(at_cycle);
+                charge = entry.run->stageCharges[pending.stage];
                 journal_stage = pending.stage;
                 journal_.emit(c, journal::EventKind::StageSubmit, at, i,
-                              pending.stage, c, run.stageCount());
+                              pending.stage, c, entry.run->stageCount());
                 w.admitSeq += 1;
                 if (pending.stage > 0 && w.admitSeq != entry.lastAdmitSeq + 1)
                     report_.chips[c].interleavedStages += 1;
@@ -1204,10 +1202,7 @@ class ServeEngine
             } else {
                 // One window slot per inference: the whole forward is one
                 // admitted unit, charged its whole-graph cost.
-                pending.isInference = true;
-                std::unique_ptr<StagedInference> run =
-                    pool_.beginInference(entry.model, req.input, at_cycle);
-                pending.outcome = pool_.runToCompletion(*run, at_cycle);
+                run.runToCompletion(at_cycle);
             }
         } else {
             if (staged_)
@@ -1237,33 +1232,32 @@ class ServeEngine
         LiveRequest &entry = table_[pending.reqIdx];
         const ServeRequest &req = entry.req;
 
-        std::vector<i64> values;
-        WallNs start = 0, done = 0;
-        u64 mvms = 1;
         if (pending.isStage) {
-            StagedInference &run = *entry.run;
-            const WallNs stage_done = pool_.stageDoneNs(run, pending.stage);
+            const WallNs stage_done =
+                pool_.wallNs(c, entry.run->run->stepDone(pending.stage));
             w.occupied.push(stage_done);
             journal_.emit(c, journal::EventKind::StageComplete, stage_done,
                           pending.reqIdx, pending.stage, c, 0);
-            if (pending.stage + 1 < run.stageCount()) {
+            if (pending.stage + 1 < entry.run->stageCount()) {
                 // The freed slot and the parked next stage race through
                 // the ordinary admission machinery, so other requests'
                 // stages can slip in between.
                 room_.park(c, req.tenant, pending.reqIdx, stage_done);
                 return;
             }
-            InferenceOutcome outcome = pool_.finishInference(run);
+        }
+
+        std::vector<i64> values;
+        WallNs start = 0, done = 0;
+        u64 mvms = 1;
+        if (entry.run) {
+            runtime::InferenceRun &run = *entry.run->run;
+            const runtime::GraphStats stats = run.finish();
+            values = run.output();
+            start = pool_.wallNs(c, stats.start);
+            done = pool_.wallNs(c, stats.done);
+            mvms = stats.mvmCount;
             entry.run.reset();
-            values = std::move(outcome.values);
-            start = pool_.wallNs(c, outcome.start);
-            done = pool_.wallNs(c, outcome.done);
-            mvms = outcome.mvms;
-        } else if (pending.isInference) {
-            values = std::move(pending.outcome.values);
-            start = pool_.wallNs(c, pending.outcome.start);
-            done = pool_.wallNs(c, pending.outcome.done);
-            mvms = pending.outcome.mvms;
         } else {
             runtime::MvmResult r = pool_.wait(entry.model, pending.future);
             values = std::move(r.values);
@@ -1370,10 +1364,10 @@ AdmissionController::AdmissionController(ChipPool &pool,
     // integer-picosecond periods. (The pool constructor already
     // rejected clocks that are not frequency bins.)
     for (const Tenant &t : tenants_) {
-        if (t.weight <= 0.0)
+        if (!(t.weight > 0.0 && std::isfinite(t.weight)))
             throw std::invalid_argument(
                 "AdmissionController: tenant '" + t.name +
-                "' has non-positive weight");
+                "' has a weight that is not positive and finite");
         // Resolves the model (panics on an unknown ref). Fleet
         // tenants that have not arrived yet carry kNoModel and are
         // placed lazily at their arrival moment.

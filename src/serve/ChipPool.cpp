@@ -617,49 +617,6 @@ ChipPool::beginInference(ModelRef model,
     return inference;
 }
 
-std::size_t
-ChipPool::advanceInference(StagedInference &inference, Cycle admitted)
-{
-    if (inference.finished())
-        darth_fatal("ChipPool::advanceInference: model ",
-                    inference.model, "'s run already submitted all ",
-                    inference.stageCount(), " stages");
-    return inference.run->submitNext(admitted);
-}
-
-WallNs
-ChipPool::stageDoneNs(StagedInference &inference, std::size_t stage)
-{
-    const std::size_t chip =
-        lookupModel(inference.model, "ChipPool::stageDoneNs").chip;
-    return wallNs(chip, inference.run->stepDone(stage));
-}
-
-InferenceOutcome
-ChipPool::runToCompletion(StagedInference &inference, Cycle admitted)
-{
-    while (!inference.finished())
-        advanceInference(inference, admitted);
-    return finishInference(inference);
-}
-
-InferenceOutcome
-ChipPool::finishInference(StagedInference &inference)
-{
-    if (!inference.finished())
-        darth_fatal("ChipPool::finishInference: model ",
-                    inference.model, "'s run submitted only ",
-                    inference.submittedStages(), " of ",
-                    inference.stageCount(), " stages");
-    const runtime::GraphStats stats = inference.run->finish();
-    InferenceOutcome outcome;
-    outcome.values = inference.run->output();
-    outcome.start = stats.start;
-    outcome.done = stats.done;
-    outcome.mvms = stats.mvmCount;
-    return outcome;
-}
-
 const ChipPool::Model &
 ChipPool::modelRef(ModelRef model, const char *what) const
 {

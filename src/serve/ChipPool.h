@@ -10,11 +10,12 @@
  * model is either one weight matrix (single-MVM requests) or a whole
  * inference network — a TinyCnn or a small encoder layer — whose
  * requests run as incremental InferenceRun forwards: beginInference
- * plans the run, advanceInference submits one admission-sized stage
- * at a time, finishInference collects the outputs. The admission
- * layer chooses whether to advance a run to completion at admission
- * (inference granularity) or to interleave stages of different
- * requests on one chip (stage granularity). Policies:
+ * plans the run and its per-stage admission charges, and the caller
+ * drives the returned InferenceRun itself (submitNext, stepDone,
+ * finish). The admission layer chooses whether to run a forward to
+ * completion at admission (inference granularity) or to interleave
+ * stages of different requests on one chip (stage granularity).
+ * Policies:
  *
  *  - RoundRobin     — rotate over chips with enough free tiles.
  *  - LeastLoaded    — most free tiles, then smallest scheduler
@@ -169,24 +170,11 @@ struct MatrixModel
  */
 using ServedModel = std::variant<MatrixModel, cnn::TinyCnn, llm::Encoder>;
 
-/** Result of one whole-inference request executed by the pool. */
-struct InferenceOutcome
-{
-    /** Network output (logits / flattened encoder output). */
-    std::vector<i64> values;
-    /** First MVM issue cycle of the forward. */
-    Cycle start = 0;
-    /** Completion cycle of the whole graph. */
-    Cycle done = 0;
-    /** MVMs the inference streamed. */
-    std::size_t mvms = 0;
-};
-
 /**
- * One stage-granular inference in flight (from
- * ChipPool::beginInference). Owns the model runner's InferenceRun
- * and the per-stage admission charges; the pool that issued it (and
- * the placed model) must outlive it.
+ * One inference in flight (from ChipPool::beginInference). Owns the
+ * model runner's InferenceRun, which the caller drives, and the
+ * per-stage admission charges; the pool that issued it (and the
+ * placed model) must outlive it.
  */
 struct StagedInference
 {
@@ -204,12 +192,6 @@ struct StagedInference
     std::unique_ptr<runtime::InferenceRun> run;
 
     std::size_t stageCount() const { return stageCharges.size(); }
-    std::size_t submittedStages() const
-    {
-        return run->submittedSteps();
-    }
-    /** True once every stage has been submitted. */
-    bool finished() const { return run->finished(); }
 };
 
 /**
@@ -330,38 +312,16 @@ class ChipPool
      * Begin one inference request (fatal for single-MVM models):
      * plans the model's InferenceRun on the owning chip's session
      * with the root source at `ready`, computes the per-stage
-     * admission charges, and submits *nothing*. Drive the run with
-     * advanceInference — once per stage for stage-granular
-     * admission, or in a loop for run-to-completion semantics.
-     * Successive inferences against one model pipeline at the
-     * per-layer amortized rate because the placements persist.
+     * admission charges, and submits *nothing*. The caller drives
+     * the run — submitNext once per stage for stage-granular
+     * admission, or runToCompletion — and converts its cycle stamps
+     * with wallNs() on modelChip(model). Successive inferences
+     * against one model pipeline at the per-layer amortized rate
+     * because the placements persist.
      */
     std::unique_ptr<StagedInference>
     beginInference(ModelRef model, const std::vector<i64> &input,
                    Cycle ready = 0) EXCLUDES(mu_);
-
-    /**
-     * Submit the next stage of an in-flight inference, bounded below
-     * by `admitted` (its admission cycle); returns the stage index.
-     * Fatal when the run is already finished.
-     */
-    std::size_t advanceInference(StagedInference &inference,
-                                 Cycle admitted);
-
-    /** Completion of one submitted stage in wall-clock
-     *  nanoseconds. */
-    WallNs stageDoneNs(StagedInference &inference, std::size_t stage)
-        EXCLUDES(mu_);
-
-    /** Collect a finished run's outputs and whole-graph cycle
-     *  stamps (fatal unless finished()). */
-    InferenceOutcome finishInference(StagedInference &inference);
-
-    /** Eager convenience: submit every remaining stage at
-     *  `admitted` and collect the outcome — whole-inference
-     *  admission semantics in one call. */
-    InferenceOutcome runToCompletion(StagedInference &inference,
-                                     Cycle admitted);
 
     /** Chip that holds a placed model. */
     std::size_t modelChip(ModelRef model) const EXCLUDES(mu_);

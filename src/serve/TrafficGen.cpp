@@ -97,16 +97,18 @@ workloadKindName(WorkloadKind kind)
 void
 TrafficGen::validateSpec(const TenantSpec &spec)
 {
-    if (spec.weight <= 0.0)
+    // Written so that NaN fails every test: a journal carries these
+    // as raw bits, so replay reaches here with whatever was recorded.
+    if (!(spec.weight > 0.0 && std::isfinite(spec.weight)))
         throw std::invalid_argument(
             "TrafficGen: tenant '" + spec.name +
-            "' has non-positive QoS weight " +
-            std::to_string(spec.weight));
-    if (spec.ratePerKns <= 0.0)
+            "' has QoS weight " + std::to_string(spec.weight) +
+            "; it must be positive and finite");
+    if (!(spec.ratePerKns > 0.0 && std::isfinite(spec.ratePerKns)))
         throw std::invalid_argument(
             "TrafficGen: tenant '" + spec.name +
-            "' has non-positive arrival rate " +
-            std::to_string(spec.ratePerKns));
+            "' has arrival rate " + std::to_string(spec.ratePerKns) +
+            "; it must be positive and finite");
     if (spec.burst.enabled() &&
         (spec.burst.onNs == 0 || spec.burst.offNs == 0))
         throw std::invalid_argument(
@@ -124,8 +126,8 @@ TrafficGen::validateSpec(const TenantSpec &spec)
             std::to_string(spec.arriveNs) +
             " ns; departNs must exceed arriveNs (or be 0 to never "
             "depart)");
-    if (spec.slo.enabled() && (spec.slo.targetAvailability <= 0.0 ||
-                               spec.slo.targetAvailability >= 1.0))
+    if (spec.slo.enabled() && !(spec.slo.targetAvailability > 0.0 &&
+                                spec.slo.targetAvailability < 1.0))
         throw std::invalid_argument(
             "TrafficGen: tenant '" + spec.name +
             "' has SLO availability target " +

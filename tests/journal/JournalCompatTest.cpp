@@ -14,6 +14,7 @@
  * with both versions named in the error.
  */
 
+#include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -30,16 +31,20 @@ namespace journal
 namespace
 {
 
-std::string
-fixturePath()
+Journal
+readFixture()
 {
-    return std::string(DARTH_SOURCE_DIR) +
-           "/tests/journal/fixtures/serve_run_v1.jnl";
+    std::ifstream in(std::string(DARTH_SOURCE_DIR) +
+                         "/tests/journal/fixtures/serve_run_v1.jnl",
+                     std::ios::binary);
+    if (!in)
+        throw std::runtime_error("serve_run_v1.jnl fixture is missing");
+    return Journal::readBinary(in);
 }
 
 TEST(JournalCompat, V1FixtureParsesAtContainerLevel)
 {
-    const Journal jr = Journal::readBinaryFile(fixturePath());
+    const Journal jr = readFixture();
     // The recorded run: 92 events, chain and output checksums
     // pinned at recording time. The container format did not change
     // in version 2, so these must keep parsing forever.
@@ -55,7 +60,7 @@ TEST(JournalCompat, V1FixtureParsesAtContainerLevel)
 
 TEST(JournalCompat, ReplayerRejectsV1ByVersionNotCrash)
 {
-    const Journal jr = Journal::readBinaryFile(fixturePath());
+    const Journal jr = readFixture();
     try {
         const Replayer replayer(jr);
         FAIL() << "Replayer accepted a version-1 journal";

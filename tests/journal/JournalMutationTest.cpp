@@ -1,12 +1,14 @@
 /**
  * @file
  * Seeded mutation of both durable journal containers — the monolithic
- * binary journal and a segment directory. Every mutated input must
- * either be rejected with std::runtime_error or read into a journal
- * whose re-encoding reads back to the same chain and size, and no
- * input may make a reader allocate beyond the bytes it actually
- * holds: a corrupt length prefix must not cost its announced size in
- * memory. Peak RSS is the process high-water mark (getrusage).
+ * binary journal and a segment directory, live or compacted. Every
+ * mutated input must either be rejected with std::runtime_error or
+ * read into a journal whose re-encoding reads back to the same chain
+ * and size; a mutated compacted directory must also either be
+ * rejected by replaySegments or replayed to a verdict. No input may
+ * make a reader allocate beyond the bytes it actually holds: a
+ * corrupt length prefix must not cost its announced size in memory.
+ * Peak RSS is the process high-water mark (getrusage).
  */
 
 #include <sys/resource.h>
@@ -87,6 +89,19 @@ binaryBytes(const Journal &jr)
     return out.str();
 }
 
+/** The segment files in `dir`, which is left empty. */
+std::vector<std::string>
+takeSegments(const std::string &dir)
+{
+    std::vector<std::string> files;
+    for (std::size_t s = 0;
+         std::filesystem::exists(segmentFileName(dir, s)); ++s)
+        files.push_back(readFile(segmentFileName(dir, s)));
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    return files;
+}
+
 /** The segment files of `jr` rewritten into `dir` with segments of
  *  about `segment_bytes`. */
 std::vector<std::string>
@@ -101,13 +116,7 @@ segmentBytes(const Journal &jr, const std::string &dir,
             copy.append(e);
         writer.finish();
     }
-    std::vector<std::string> files;
-    for (std::size_t s = 0;
-         std::filesystem::exists(segmentFileName(dir, s)); ++s)
-        files.push_back(readFile(segmentFileName(dir, s)));
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    return files;
+    return takeSegments(dir);
 }
 
 void
@@ -116,6 +125,18 @@ writeSegments(const std::string &dir,
 {
     for (std::size_t s = 0; s < files.size(); ++s)
         writeFile(segmentFileName(dir, s), files[s]);
+}
+
+/** The segment files compactSegments makes of `jr`'s segments, with
+ *  compacted segments of about `segment_bytes`. */
+std::vector<std::string>
+compactedSegmentBytes(const Journal &jr, const std::string &dir,
+                      std::size_t segment_bytes)
+{
+    const std::string live = dir + "/live";
+    writeSegments(live, segmentBytes(jr, live, std::size_t{1} << 20));
+    compactSegments(live, dir, segment_bytes);
+    return takeSegments(dir);
 }
 
 /** The u32 length prefix of the frame at `offset`. */
@@ -322,6 +343,61 @@ TEST(JournalMutation, SeededMutationsThrowOrRoundTrip)
         expectRejectedOrRoundTrips(
             [&dir] { return readSegmentedJournal(dir); },
             "segment " + std::to_string(victim) + " " + label);
+    }
+    EXPECT_LT(peakRssKib() - before, kRssBudgetKib);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(JournalMutation, SeededCompactedMutationsThrowOrReplay)
+{
+    const Journal jr = recordSmallRun(31);
+    const std::string donor = binaryBytes(recordSmallRun(32));
+    const std::string dir = scratchDir("compacted");
+    const std::vector<std::string> segments =
+        compactedSegmentBytes(jr, dir, 512);
+    ASSERT_GE(segments.size(), 3u);
+    writeSegments(dir, segments);
+    const SegmentReplayResult clean = replaySegments(dir);
+    ASSERT_TRUE(clean.identical) << clean.detail;
+
+    const long before = peakRssKib();
+    Rng rng(0xc0ac7);
+    for (unsigned i = 0; i < 256; ++i) {
+        const unsigned kind = i % 5;
+        std::vector<std::string> files = segments;
+        const std::size_t victim = rng.uniformInt(files.size());
+        mutate(files[victim], kSegmentHeaderBytes, kind, donor, rng);
+        writeSegments(dir, files);
+        const std::string label = "segment " + std::to_string(victim) +
+                                  " mutation " + std::to_string(i) +
+                                  " kind " + std::to_string(kind);
+        expectRejectedOrRoundTrips(
+            [&dir] { return readSegmentedJournal(dir); }, label);
+        try {
+            const SegmentReplayResult verdict = replaySegments(dir);
+            // Only the unmutated chain can replay identically.
+            if (verdict.identical) {
+                EXPECT_EQ(verdict.recordedChain, clean.recordedChain)
+                    << label;
+            }
+        } catch (const std::runtime_error &) {
+        }
+    }
+
+    // A cut at a record boundary of the last segment leaves a
+    // chain-valid prefix (a segment directory has no record count):
+    // it reads back, and only replay's verdict tells it apart.
+    const std::string &last = segments.back();
+    for (const std::size_t frame :
+         frameOffsets(last, kSegmentHeaderBytes)) {
+        std::vector<std::string> files = segments;
+        files.back() = last.substr(0, frame);
+        writeSegments(dir, files);
+        expectRejectedOrRoundTrips(
+            [&dir] { return readSegmentedJournal(dir); },
+            "cut at " + std::to_string(frame));
+        EXPECT_FALSE(replaySegments(dir).identical)
+            << "cut at " << frame;
     }
     EXPECT_LT(peakRssKib() - before, kRssBudgetKib);
     std::filesystem::remove_all(dir);

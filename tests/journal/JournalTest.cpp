@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the append-only event journal: chained checksums, binary
- * round trips (write -> read -> re-write byte-identical), corruption
- * detection on flipped bytes and truncation, and the JSONL export.
+ * round trips (write -> read -> re-write byte-identical), and
+ * corruption detection on flipped bytes and truncation.
  */
 
 #include <cstddef>
@@ -55,13 +55,13 @@ TEST(JournalTest, AppendStampsChainedChecksums)
     const u64 empty_chain = jr.chainChecksum();
 
     jr.append(sampleEvent(0));
+    const u64 first_chain = jr.chainChecksum();
     jr.append(sampleEvent(1));
     ASSERT_EQ(jr.size(), 2u);
     // The chain digest is the last record's checksum and moves with
     // every append.
-    EXPECT_NE(jr.chainChecksum(), empty_chain);
-    EXPECT_EQ(jr.chainChecksum(), jr.recordChecksum(1));
-    EXPECT_NE(jr.recordChecksum(0), jr.recordChecksum(1));
+    EXPECT_NE(first_chain, empty_chain);
+    EXPECT_NE(jr.chainChecksum(), first_chain);
 
     // Same events, same chain; any payload difference diverges it.
     Journal same;
@@ -90,10 +90,9 @@ TEST(JournalTest, BinaryRoundTripIsByteIdentical)
 
     // The parsed journal carries the identical history...
     ASSERT_EQ(reread.size(), jr.size());
-    for (std::size_t i = 0; i < jr.size(); ++i) {
+    for (std::size_t i = 0; i < jr.size(); ++i)
         EXPECT_EQ(reread.event(i), jr.event(i)) << "event " << i;
-        EXPECT_EQ(reread.recordChecksum(i), jr.recordChecksum(i));
-    }
+    EXPECT_EQ(reread.chainChecksum(), jr.chainChecksum());
     EXPECT_TRUE(reread == jr);
 
     // ...and re-serializes byte-identically.
@@ -188,45 +187,6 @@ TEST(JournalTest, RejectsWrongMagicAndVersion)
     bad_version[8] = static_cast<char>(bad_version[8] + 1);
     std::stringstream in2(bad_version);
     EXPECT_THROW(Journal::readBinary(in2), std::runtime_error);
-}
-
-TEST(JournalTest, JsonlExportCarriesEveryEvent)
-{
-    const Journal jr = sampleJournal(14);
-    std::stringstream out;
-    jr.writeJsonl(out);
-    const std::string text = out.str();
-
-    // One header line plus one line per event.
-    std::size_t lines = 0;
-    for (char c : text)
-        lines += c == '\n';
-    EXPECT_EQ(lines, jr.size() + 1);
-    EXPECT_NE(text.find("\"format\":\"darth-journal\""),
-              std::string::npos);
-    EXPECT_NE(text.find("\"chain_checksum\""), std::string::npos);
-    // Every kind name appears (the sample covers all 14 kinds).
-    for (std::size_t k = 0; k < 14; ++k)
-        EXPECT_NE(
-            text.find(std::string("\"kind\":\"") +
-                      eventKindName(static_cast<EventKind>(k))),
-            std::string::npos)
-            << eventKindName(static_cast<EventKind>(k));
-}
-
-TEST(JournalTest, FileRoundTripAndMissingFileThrow)
-{
-    const Journal jr = sampleJournal(5);
-    const std::string path =
-        ::testing::TempDir() + "journal_test_roundtrip.jnl";
-    jr.writeBinaryFile(path);
-    const Journal reread = Journal::readBinaryFile(path);
-    EXPECT_TRUE(reread == jr);
-
-    EXPECT_THROW(
-        Journal::readBinaryFile(::testing::TempDir() +
-                                "journal_test_does_not_exist.jnl"),
-        std::runtime_error);
 }
 
 } // namespace

@@ -9,6 +9,7 @@
  */
 
 #include <cstddef>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -306,6 +307,42 @@ TEST(ReplayerTest, HugeAnnouncedCountsAreRejectedNotAllocated)
             EXPECT_THROW(Replayer{std::move(inflated)},
                          std::runtime_error)
                 << eventKindName(kind) << " " << huge;
+        }
+    }
+}
+
+TEST(ReplayerTest, NonFiniteTenantSetupThrowsBeforeServing)
+{
+    // TenantSetup carries the weight (d) and the arrival rate
+    // (values[0]) as raw double bits. A re-chained journal patched to
+    // NaN or +inf parses, but replay must refuse the tenant with
+    // buildTenants' typed error instead of serving it.
+    ServeRunSetup setup;
+    setup.slots = {PoolSlotSetup{SlotKind::Uniform, 2, 1.0}};
+    setup.tenants.resize(1);
+    setup.tenants[0].name = "micro";
+    setup.tenants[0].kind = WorkloadKind::Micro;
+    setup.horizon = 4000;
+    const ServeRunRecord rec = recordServeRun(setup);
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+
+    for (const bool patch_rate : {false, true}) {
+        for (const double bad : {nan, inf}) {
+            Journal patched;
+            for (std::size_t i = 0; i < rec.journal.size(); ++i) {
+                JournalEvent e = rec.journal.event(i);
+                if (e.kind == EventKind::TenantSetup) {
+                    if (patch_rate)
+                        e.values[0] = static_cast<i64>(doubleBits(bad));
+                    else
+                        e.d = doubleBits(bad);
+                }
+                patched.append(std::move(e));
+            }
+            const Replayer replayer(std::move(patched));
+            EXPECT_THROW((void)replayer.replay(), std::invalid_argument)
+                << (patch_rate ? "rate " : "weight ") << bad;
         }
     }
 }

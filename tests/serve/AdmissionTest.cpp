@@ -8,6 +8,7 @@
  */
 
 #include <cstddef>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -601,6 +602,50 @@ TEST(Admission, TenantSpecValidationThrows)
     good.weight = 0.5;
     good.ratePerKns = 0.25;
     EXPECT_NO_THROW(TrafficGen::validateSpec(good));
+}
+
+TEST(Admission, NonFiniteTenantNumbersThrow)
+{
+    // NaN fails every comparison, so each check must be written to
+    // fail on it; +inf weight or rate is as unusable as zero.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    TenantSpec base;
+    base.name = "t";
+    base.kind = WorkloadKind::Micro;
+    base.weight = 1.0;
+    base.ratePerKns = 1.0;
+    base.slo.latencyTargetNs = 1000;
+    base.slo.targetAvailability = 0.99;
+    ASSERT_NO_THROW(TrafficGen::validateSpec(base));
+
+    for (const double bad : {nan, inf, -inf}) {
+        TenantSpec spec = base;
+        spec.weight = bad;
+        EXPECT_THROW(TrafficGen::validateSpec(spec),
+                     std::invalid_argument)
+            << "weight " << bad;
+        spec = base;
+        spec.ratePerKns = bad;
+        EXPECT_THROW(TrafficGen::validateSpec(spec),
+                     std::invalid_argument)
+            << "rate " << bad;
+    }
+    TenantSpec spec = base;
+    spec.slo.targetAvailability = nan;
+    EXPECT_THROW(TrafficGen::validateSpec(spec), std::invalid_argument);
+
+    TrafficGen gen(48);
+    ChipPool pool(poolConfig(1, 1));
+    auto tenants = buildTenants(pool, gen, microSpecs({1.0}));
+    for (const double bad : {nan, inf}) {
+        auto bad_tenants = tenants;
+        bad_tenants[0].weight = bad;
+        EXPECT_THROW(AdmissionController(pool, bad_tenants,
+                                         AdmissionConfig{}),
+                     std::invalid_argument)
+            << "weight " << bad;
+    }
 }
 
 /** Chip large enough for one TinyCnn inference model. */

@@ -247,15 +247,6 @@ inferencePoolConfig(std::size_t chips,
     return cfg;
 }
 
-/** Drive a staged inference to completion at one admission cycle. */
-InferenceOutcome
-runWholeInference(ChipPool &pool, ModelRef model,
-                  const std::vector<i64> &input, Cycle at = 0)
-{
-    auto run = pool.beginInference(model, input, at);
-    return pool.runToCompletion(*run, at);
-}
-
 TEST(ChipPool, InferenceModelRunsWholeForward)
 {
     ChipPool pool(
@@ -266,12 +257,12 @@ TEST(ChipPool, InferenceModelRunsWholeForward)
     EXPECT_EQ(pool.modelRows(model), net.inputSize());
 
     const std::vector<i64> input(net.inputSize(), 3);
-    const InferenceOutcome outcome =
-        runWholeInference(pool, model, input);
-    EXPECT_EQ(outcome.values,
+    auto inference = pool.beginInference(model, input);
+    const runtime::GraphStats stats = inference->run->runToCompletion(0);
+    EXPECT_EQ(inference->run->output(),
               net.infer(net.inputFromFlat(input)));
-    EXPECT_EQ(outcome.mvms, 81u);
-    EXPECT_GT(outcome.done, outcome.start);
+    EXPECT_EQ(stats.mvmCount, 81u);
+    EXPECT_GT(stats.done, stats.start);
 }
 
 TEST(ChipPool, InferenceAffinitySharesNetworks)
@@ -488,14 +479,13 @@ TEST(ChipPool, StagedInferenceChargesSumToNominal)
     // beginInference submits nothing: the chip scheduler is idle
     // until the run is advanced.
     EXPECT_EQ(pool.runtime(0).scheduler().pendingCount(), 0u);
-    EXPECT_EQ(cnn_run->submittedStages(), 0u);
+    EXPECT_EQ(cnn_run->run->submittedSteps(), 0u);
 
-    // Driving both runs to completion yields the reference outputs.
-    while (!cnn_run->finished())
-        pool.advanceInference(*cnn_run, 0);
-    const InferenceOutcome outcome = pool.finishInference(*cnn_run);
+    // Driving the run to completion yields the reference outputs.
+    (void)cnn_run->run->runToCompletion(0);
     const cnn::TinyCnn ref = gen.cnnInferNet(1);
-    EXPECT_EQ(outcome.values, ref.infer(ref.inputFromFlat(cnn_input)));
+    EXPECT_EQ(cnn_run->run->output(),
+              ref.infer(ref.inputFromFlat(cnn_input)));
 }
 
 TEST(ChipPool, CostAwareBacklogPrefersSlowerIdleChip)

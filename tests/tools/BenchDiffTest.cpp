@@ -62,6 +62,10 @@ TEST(BenchDiff, CheckFlippingToFalseIsARegression)
     EXPECT_TRUE(contains(
         r, "CHECK    checks[name=fig13_scheduler_matches_oracle].ok"))
         << r.output;
+    // A flipped check does not depend on --threshold, so the heading
+    // does not name it.
+    EXPECT_TRUE(contains(r, "\n2 regression(s):\n")) << r.output;
+    EXPECT_FALSE(contains(r, "beyond")) << r.output;
 }
 
 TEST(BenchDiff, MissingCellIsARegression)
@@ -73,6 +77,8 @@ TEST(BenchDiff, MissingCellIsARegression)
     EXPECT_TRUE(contains(
         r, "MISSING  cells[figure=Fig. 13,row=AES,system=AppAccel]"))
         << r.output;
+    EXPECT_TRUE(contains(r, "\n1 regression(s):\n")) << r.output;
+    EXPECT_FALSE(contains(r, "beyond")) << r.output;
 }
 
 TEST(BenchDiff, WallClockChangeIsInfoOnly)

@@ -1,6 +1,8 @@
 #include "analog/Ace.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 
 #include "common/Logging.h"
@@ -83,6 +85,14 @@ Ace::setMatrix(const MatrixI &m, int element_bits, int bits_per_cell)
         1, static_cast<std::size_t>(adc_max / std::max<i64>(max_cell, 1)));
     rowsPerGroup_ = std::min(rowsPerGroup_, rowsPerTile_);
     rowGroups_ = (rowsPerTile_ + rowsPerGroup_ - 1) / rowsPerGroup_;
+    groups_.clear();
+    for (std::size_t rt = 0; rt < rowTiles_; ++rt) {
+        const std::size_t nr =
+            std::min(rowsPerTile_, m.rows() - rt * rowsPerTile_);
+        for (std::size_t r0 = 0; r0 < nr; r0 += rowsPerGroup_)
+            groups_.push_back(
+                {rt, r0, std::min(rowsPerGroup_, nr - r0)});
+    }
 
     // Ramp sweep length for this operating point. An explicit
     // rampStates wins; otherwise auto-termination sweeps only the
@@ -111,25 +121,13 @@ void
 Ace::reprogramAll(const std::vector<MatrixI> &slices)
 {
     xbars_.clear();
-    tileTables_.clear();
+    matrix16_.clear();
     const std::size_t cols = matrix_.cols();
     if (cfg_.noise.ideal()) {
-        const std::size_t lanes = static_cast<std::size_t>(slices_) * cols;
-        tileTables_.resize(rowTiles_);
-        for (std::size_t rt = 0; rt < rowTiles_; ++rt) {
-            const std::size_t r0 = rt * rowsPerTile_;
-            const std::size_t nr =
-                std::min(rowsPerTile_, matrix_.rows() - r0);
-            std::vector<i32> &table = tileTables_[rt];
-            table.resize(nr * lanes);
-            for (std::size_t r = 0; r < nr; ++r)
-                for (int s = 0; s < slices_; ++s)
-                    for (std::size_t c = 0; c < cols; ++c)
-                        table[r * lanes +
-                              static_cast<std::size_t>(s) * cols + c] =
-                            static_cast<i32>(
-                                slices[static_cast<std::size_t>(s)](
-                                    r0 + r, c));
+        if (elementBits_ <= 15) {
+            matrix16_.reserve(matrix_.data().size());
+            for (i64 v : matrix_.data())
+                matrix16_.push_back(static_cast<i16>(v));
         }
     } else {
         xbars_.reserve(arraysUsed());
@@ -170,45 +168,32 @@ Ace::reprogramAll(const std::vector<MatrixI> &slices)
 }
 
 void
-Ace::sumPlane(const std::vector<int> &plane_bits)
+Ace::addGroupCodes(const std::vector<i64> &x, int bit,
+                   const RowGroup &group, int s, i64 *sums) const
 {
-    const std::size_t lanes =
-        static_cast<std::size_t>(slices_) * matrix_.cols();
-    laneSums_.assign(rowTiles_ * rowGroups_ * lanes, 0);
-    const i32 lo = static_cast<i32>(adc_.minCode());
-    const i32 hi = static_cast<i32>(adc_.maxCode());
-    for (std::size_t rt = 0; rt < rowTiles_; ++rt) {
-        const std::size_t r0 = rt * rowsPerTile_;
-        const std::size_t nr = std::min(rowsPerTile_, matrix_.rows() - r0);
-        const i32 *const table = tileTables_[rt].data();
-        for (std::size_t g = 0; g < rowGroups_; ++g) {
-            i32 *const __restrict sum =
-                &laneSums_[(rt * rowGroups_ + g) * lanes];
-            const std::size_t end = std::min(nr, (g + 1) * rowsPerGroup_);
-            for (std::size_t r = g * rowsPerGroup_; r < end; ++r) {
-                if (plane_bits[r0 + r] == 0)
-                    continue;
-                const i32 *const __restrict row = table + r * lanes;
-                for (std::size_t i = 0; i < lanes; ++i)
-                    sum[i] += row[i];
-            }
-            for (std::size_t i = 0; i < lanes; ++i)
-                sum[i] = std::clamp(sum[i], lo, hi);
-        }
+    const std::size_t cols = matrix_.cols();
+    const std::size_t r0 = group.rowTile * rowsPerTile_ + group.firstRow;
+    for (std::size_t r = r0; r < r0 + group.rows; ++r) {
+        if (((static_cast<u64>(x[r]) >> bit) & 1) == 0)
+            continue;
+        const i64 *const row = &matrix_(r, 0);
+        for (std::size_t c = 0; c < cols; ++c)
+            sums[c] += sliceElement(row[c], s, bitsPerCell_);
     }
 }
 
 void
-Ace::convertGroup(const std::vector<int> &plane_bits, int s,
-                  std::size_t rt, std::size_t gr0, std::size_t gnr,
-                  std::vector<i64> &values)
+Ace::convertGroup(const std::vector<i64> &x, int bit, int s,
+                  const RowGroup &group, std::vector<i64> &values)
 {
-    const std::size_t r0 = rt * rowsPerTile_;
+    const std::size_t r0 = group.rowTile * rowsPerTile_;
     for (std::size_t ct = 0; ct < colTiles_; ++ct) {
-        Crossbar &xb = xbar(s, rt, ct);
+        Crossbar &xb = xbar(s, group.rowTile, ct);
         bits_.assign(xb.logicalRows(), 0);
-        for (std::size_t r = 0; r < gnr; ++r)
-            bits_[gr0 + r] = plane_bits[r0 + gr0 + r];
+        for (std::size_t r = group.firstRow;
+             r < group.firstRow + group.rows; ++r)
+            bits_[r] = static_cast<int>(
+                (static_cast<u64>(x[r0 + r]) >> bit) & 1);
         xb.mvmBitInputInto(bits_, vScratch_, analog_);
         const std::size_t c0 = ct * colsPerTile_;
         for (std::size_t c = 0; c < analog_.size(); ++c)
@@ -216,21 +201,52 @@ Ace::convertGroup(const std::vector<int> &plane_bits, int s,
     }
 }
 
-std::vector<PartialProduct>
-Ace::execMvm(const std::vector<i64> &x, int input_bits, Cycle start)
+bool
+Ace::countPlaneRows(const std::vector<i64> &x, int input_bits)
 {
-    if (!hasMatrix())
-        darth_fatal("Ace::execMvm: no matrix programmed");
-    if (x.size() != matrix_.rows())
-        darth_fatal("Ace::execMvm: input length ", x.size(),
-                    " != matrix rows ", matrix_.rows());
+    const bool negative = checkInputRange(x, input_bits);
+    // Plane `bit` drives the rows whose input has that bit set (the
+    // bits sliceInput() lays out). Eight planes at a time are counted
+    // in the bytes of one word, flushed before a byte can overflow.
+    static constexpr auto kSpread = [] {
+        std::array<u64, 256> spread{};
+        for (std::size_t b = 0; b < 256; ++b)
+            for (int i = 0; i < 8; ++i)
+                if ((b >> i) & 1)
+                    spread[b] |= u64{1} << (8 * i);
+        return spread;
+    }();
+    planeRows_.assign(static_cast<std::size_t>(input_bits), 0);
+    for (int base = 0; base < input_bits; base += 8) {
+        const auto flush = [&](u64 counts) {
+            for (int i = 0; i < 8 && base + i < input_bits; ++i)
+                planeRows_[static_cast<std::size_t>(base + i)] +=
+                    (counts >> (8 * i)) & 0xff;
+        };
+        u64 counts = 0;
+        std::size_t pending = 0;
+        for (i64 v : x) {
+            counts += kSpread[(static_cast<u64>(v) >> base) & 0xff];
+            if (++pending == 255) {
+                flush(counts);
+                counts = 0;
+                pending = 0;
+            }
+        }
+        flush(counts);
+    }
+    return negative;
+}
 
-    const bool exact = cfg_.noise.ideal();
+void
+Ace::scheduleConversions(int input_bits, bool negative,
+                         const std::size_t *active_rows, Cycle start,
+                         std::vector<Conversion> &schedule)
+{
     const std::size_t cols = matrix_.cols();
-    const auto planes = sliceInput(x, input_bits);
-    std::vector<PartialProduct> stream;
-    stream.reserve(planes.size() * static_cast<std::size_t>(slices_) *
-                   rowTiles_ * rowGroups_);
+    schedule.clear();
+    schedule.reserve(static_cast<std::size_t>(input_bits) *
+                     static_cast<std::size_t>(slices_) * groups_.size());
 
     Cycle array_free = start;
     Cycle adc_free = start;
@@ -252,23 +268,21 @@ Ace::execMvm(const std::vector<i64> &x, int input_bits, Cycle start)
         t_sh = &tally_->entry("ace.sh");
         t_adc = &tally_->entry("ace.adc");
     }
-    for (const auto &plane : planes) {
+    for (int bit = 0; bit < input_bits; ++bit) {
         // Drive the wordlines with this bit plane; all arrays of all
         // slices sample concurrently.
         const Cycle sampled =
             array_free + cfg_.dacApplyCycles + cfg_.settleCycles;
         array_free = sampled;
 
-        std::size_t active_rows = 0;
-        for (int b : plane.bits)
-            active_rows += static_cast<std::size_t>(b != 0);
         if (tally_ != nullptr) {
             const double arrays =
                 static_cast<double>(slices_ * rowTiles_ * colTiles_);
             t_dac->events += 1;
             t_dac->cycles += cfg_.dacApplyCycles;
-            t_dac->energy += static_cast<double>(active_rows) *
-                             cfg_.rowDriveEnergyPJ * arrays;
+            t_dac->energy +=
+                static_cast<double>(active_rows[bit]) *
+                cfg_.rowDriveEnergyPJ * arrays;
             t_array->events += 1;
             t_array->cycles += cfg_.settleCycles;
             t_array->energy += cfg_.arrayActivationEnergyPJ * arrays;
@@ -277,55 +291,130 @@ Ace::execMvm(const std::vector<i64> &x, int input_bits, Cycle start)
                             cfg_.sampleHoldEnergyPJ *
                             static_cast<double>(slices_ * rowTiles_);
         }
-        if (exact)
-            sumPlane(plane.bits);
 
+        const bool negate = negative && bit == input_bits - 1;
         for (int s = 0; s < slices_; ++s) {
-            for (std::size_t rt = 0; rt < rowTiles_; ++rt) {
-                const std::size_t r0 = rt * rowsPerTile_;
-                const std::size_t nr =
-                    std::min(rowsPerTile_, matrix_.rows() - r0);
-                for (std::size_t g = 0; g < rowGroups_; ++g) {
-                    const std::size_t gr0 = g * rowsPerGroup_;
-                    if (gr0 >= nr)
-                        continue;
-
-                    PartialProduct pp;
-                    pp.shift = plane.bit +
-                               s * bitsPerCell_;
-                    pp.negate = plane.negate;
-                    if (exact) {
-                        const std::size_t lane =
-                            (rt * rowGroups_ + g) *
-                                static_cast<std::size_t>(slices_) +
-                            static_cast<std::size_t>(s);
-                        const i32 *const sums =
-                            laneSums_.data() + lane * cols;
-                        pp.values.assign(sums, sums + cols);
-                    } else {
-                        pp.values.assign(cols, 0);
-                        convertGroup(plane.bits, s, rt, gr0,
-                                     std::min(rowsPerGroup_, nr - gr0),
-                                     pp.values);
-                    }
-
-                    // Conversions serialize on the shared ADCs.
-                    const Cycle conv_start = std::max(adc_free, sampled);
-                    const Cycle conv_done = conv_start + conv_cycles;
-                    adc_free = conv_done;
-                    pp.convStart = conv_start;
-                    pp.readyAt = conv_done;
-                    if (tally_ != nullptr) {
-                        t_adc->events += 1;
-                        t_adc->cycles += conv_done - conv_start;
-                        t_adc->energy += conv_energy;
-                    }
-                    stream.push_back(std::move(pp));
+            for (std::size_t g = 0; g < groups_.size(); ++g) {
+                // Conversions serialize on the shared ADCs.
+                const Cycle conv_start = std::max(adc_free, sampled);
+                const Cycle conv_done = conv_start + conv_cycles;
+                adc_free = conv_done;
+                schedule.push_back(
+                    {bit + s * bitsPerCell_, negate, conv_start,
+                     conv_done});
+                if (tally_ != nullptr) {
+                    t_adc->events += 1;
+                    t_adc->cycles += conv_done - conv_start;
+                    t_adc->energy += conv_energy;
                 }
             }
         }
     }
+}
+
+std::vector<PartialProduct>
+Ace::execMvm(const std::vector<i64> &x, int input_bits, Cycle start)
+{
+    if (!hasMatrix())
+        darth_fatal("Ace::execMvm: no matrix programmed");
+    if (x.size() != matrix_.rows())
+        darth_fatal("Ace::execMvm: input length ", x.size(),
+                    " != matrix rows ", matrix_.rows());
+
+    const bool negative = countPlaneRows(x, input_bits);
+    scheduleConversions(input_bits, negative, planeRows_.data(), start,
+                        schedule_);
+
+    const bool exact = cfg_.noise.ideal();
+    const std::size_t cols = matrix_.cols();
+    std::vector<PartialProduct> stream;
+    stream.reserve(schedule_.size());
+    for (int bit = 0; bit < input_bits; ++bit) {
+        for (int s = 0; s < slices_; ++s) {
+            for (const RowGroup &group : groups_) {
+                PartialProduct pp;
+                static_cast<Conversion &>(pp) = schedule_[stream.size()];
+                pp.values.assign(cols, 0);
+                if (exact)
+                    addGroupCodes(x, bit, group, s, pp.values.data());
+                else
+                    convertGroup(x, bit, s, group, pp.values);
+                stream.push_back(std::move(pp));
+            }
+        }
+    }
     return stream;
+}
+
+namespace
+{
+
+/**
+ * acc[c] += x[r] * table[r][c] over the rows, each product and sum in
+ * `Lane` arithmetic (wrapping when `Lane` is unsigned). Rows with a
+ * zero input add nothing and are skipped.
+ */
+template <typename Entry, typename Lane>
+void
+accumulateRows(const Entry *table, const std::vector<i64> &x,
+               std::size_t cols, Lane *__restrict acc)
+{
+    for (std::size_t r = 0; r < x.size(); ++r) {
+        if (x[r] == 0)
+            continue;
+        const Entry xr = static_cast<Entry>(x[r]);
+        const Entry *const __restrict row = table + r * cols;
+        for (std::size_t c = 0; c < cols; ++c)
+            acc[c] += static_cast<Lane>(xr) * static_cast<Lane>(row[c]);
+    }
+}
+
+} // namespace
+
+void
+Ace::execMvmExact(const std::vector<i64> &x, int input_bits, Cycle start,
+                  std::vector<Conversion> &schedule,
+                  std::vector<i64> &out, std::vector<i64> &last)
+{
+    if (!hasMatrix())
+        darth_fatal("Ace::execMvmExact: no matrix programmed");
+    if (x.size() != matrix_.rows())
+        darth_fatal("Ace::execMvmExact: input length ", x.size(),
+                    " != matrix rows ", matrix_.rows());
+    if (!cfg_.noise.ideal())
+        darth_panic("Ace::execMvmExact: needs the ideal noise model");
+
+    const bool negative = countPlaneRows(x, input_bits);
+    scheduleConversions(input_bits, negative, planeRows_.data(), start,
+                        schedule);
+
+    // No conversion clamps, so the shift-and-add of every code is W·x.
+    // When elements and inputs fit 16 bits and the worst-case sum fits
+    // 32, it is summed exactly in 32-bit lanes; otherwise in wrapping
+    // 64-bit lanes.
+    const std::size_t cols = matrix_.cols();
+    const int worst_bits =
+        elementBits_ + input_bits +
+        static_cast<int>(std::bit_width(matrix_.rows() - 1)) + 1;
+    out.resize(cols);
+    if (!matrix16_.empty() && input_bits <= 15 && worst_bits <= 32) {
+        std::vector<i32> &acc = acc32_;
+        acc.assign(cols, 0);
+        accumulateRows(matrix16_.data(), x, cols, acc.data());
+        std::copy(acc.begin(), acc.end(), out.begin());
+    } else {
+        std::vector<u64> &acc = acc64_;
+        acc.assign(cols, 0);
+        accumulateRows(matrix_.data().data(), x, cols, acc.data());
+        for (std::size_t c = 0; c < cols; ++c)
+            out[c] = static_cast<i64>(acc[c]);
+    }
+
+    // The last conversion: the top plane of the last slice over the
+    // last row group.
+    last.assign(cols, 0);
+    addGroupCodes(x, input_bits - 1, groups_.back(), slices_ - 1,
+                  last.data());
 }
 
 std::vector<i64>

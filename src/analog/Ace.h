@@ -17,8 +17,8 @@
  * standard precision-versus-throughput trade: more groups, more
  * conversions).
  *
- * Two functional paths produce the ADC codes; both emit the same
- * partial-product stream and the same CostTally charges:
+ * Two functional paths produce the ADC codes; both charge the same
+ * CostTally entries in the same order:
  *
  *  - Exact integer path, under the ideal noise model
  *    (NoiseModel::ideal()). Each code is the integer sum of the active
@@ -28,13 +28,18 @@
  *    rounding error stays far below half an LSB for every shape a
  *    Crossbar accepts, so nearbyint() lands on the integer. Row
  *    grouping keeps |sum| <= rowsPerGroup*max_cell <= maxCode(), so
- *    the ADC clamp never fires. The ACE therefore keeps one dense i32
- *    table per row tile, laid out [row][slice][col], builds no
- *    Crossbar, and adds table rows into i32 lanes per input plane.
+ *    the ADC clamp never fires and the shift-and-add of the whole
+ *    stream is exactly W·x. execMvmExact() therefore returns W·x as
+ *    one integer product (16-bit operands and 32-bit sums when they
+ *    fit), the conversion schedule (timing and reduction tags, no
+ *    codes), and the codes of the last conversion only: the value a
+ *    DCE stages last. execMvm() still emits every code, slicing the
+ *    stored matrix on the fly, for the callers that reduce partial
+ *    products one by one. No Crossbar is built.
  *  - Crossbar path, for every other noise model. Programming noise,
  *    stuck-at cells, drift and wire resistance move conductances even
  *    when reads are deterministic, so each code comes from a
- *    Crossbar solve and Adc::convert().
+ *    Crossbar solve and Adc::convert(), and only execMvm() applies.
  */
 
 #ifndef DARTH_ANALOG_ACE_H
@@ -96,11 +101,9 @@ struct AceConfig
     reram::NoiseModel noise;
 };
 
-/** One ADC-digitized partial product vector with its reduction tag. */
-struct PartialProduct
+/** One ADC conversion of a bit-serial MVM: its reduction tag and timing. */
+struct Conversion
 {
-    /** One code per matrix output column. */
-    std::vector<i64> values;
     /** Bit positions to shift left during the ACE->DCE transfer. */
     int shift = 0;
     /** True when this plane subtracts (two's complement sign plane). */
@@ -109,6 +112,13 @@ struct PartialProduct
     Cycle convStart = 0;
     /** Cycle at which the last ADC output is available. */
     Cycle readyAt = 0;
+};
+
+/** One ADC-digitized partial product vector with its reduction tag. */
+struct PartialProduct : Conversion
+{
+    /** One code per matrix output column. */
+    std::vector<i64> values;
 };
 
 /** The analog half of an HCT. */
@@ -164,6 +174,20 @@ class Ace
     std::vector<PartialProduct> execMvm(const std::vector<i64> &x,
                                         int input_bits, Cycle start);
 
+    /**
+     * The exact path's MVM without a partial-product stream (ideal
+     * noise model only; panics otherwise). Makes sliceInput()'s range
+     * checks and charges the tally exactly as execMvm() would.
+     *
+     * @param schedule  Receives the conversions execMvm() would
+     *                  emit, in stream order, without their codes.
+     * @param out       Receives y = W·x (mod 2^64).
+     * @param last      Receives the codes of the final conversion.
+     */
+    void execMvmExact(const std::vector<i64> &x, int input_bits,
+                      Cycle start, std::vector<Conversion> &schedule,
+                      std::vector<i64> &out, std::vector<i64> &last);
+
     /** Exact integer reference of the full MVM (tests). */
     std::vector<i64> referenceMvm(const std::vector<i64> &x) const;
 
@@ -181,17 +205,40 @@ class Ace
      */
     void reprogramAll(const std::vector<MatrixI> &slices);
 
-    /**
-     * Exact path: fill laneSums_ with one input plane's column sums,
-     * clamped to the ADC code range, for every (row tile, row group,
-     * slice).
-     */
-    void sumPlane(const std::vector<int> &plane_bits);
+    /** One row group of one row tile (rows relative to the tile). */
+    struct RowGroup
+    {
+        std::size_t rowTile = 0;
+        std::size_t firstRow = 0;
+        std::size_t rows = 0;
+    };
 
-    /** Crossbar path: one (slice, row tile, row group) partial. */
-    void convertGroup(const std::vector<int> &plane_bits, int s,
-                      std::size_t rt, std::size_t gr0, std::size_t gnr,
-                      std::vector<i64> &values);
+    /**
+     * The conversion schedule of an MVM whose plane `bit` drives
+     * active_rows[bit] wordlines: one conversion per (plane, slice,
+     * row group) in stream order, with every tally charge.
+     */
+    void scheduleConversions(int input_bits, bool negative,
+                             const std::size_t *active_rows, Cycle start,
+                             std::vector<Conversion> &schedule);
+
+    /**
+     * Count the active rows of every input plane into planeRows_,
+     * after sliceInput()'s range checks; true when the top plane
+     * subtracts.
+     */
+    bool countPlaneRows(const std::vector<i64> &x, int input_bits);
+
+    /**
+     * Exact path: add one conversion's codes into sums[0..cols) —
+     * slice `s` of the rows of `group` whose input has bit `bit` set.
+     */
+    void addGroupCodes(const std::vector<i64> &x, int bit,
+                       const RowGroup &group, int s, i64 *sums) const;
+
+    /** Crossbar path: one conversion's codes. */
+    void convertGroup(const std::vector<i64> &x, int bit, int s,
+                      const RowGroup &group, std::vector<i64> &values);
 
     AceConfig cfg_;
     CostTally *tally_;
@@ -207,12 +254,18 @@ class Ace
     std::size_t colsPerTile_ = 0;
     std::size_t rowGroups_ = 1;
     std::size_t rowsPerGroup_ = 0;
+    /** The row groups that hold rows, tile-major (stream order). */
+    std::vector<RowGroup> groups_;
     /** Effective ramp sweep length (see rampSweepStates()). */
     Cycle rampSweepStates_ = 0;
-    /** Exact path: per row tile, rows x slices x matrix cols values. */
-    std::vector<std::vector<i32>> tileTables_;
-    /** Exact path: per (row tile, row group), slices x cols codes. */
-    std::vector<i32> laneSums_;
+    /** Exact path: the matrix row-major in 16 bits, when it fits. */
+    std::vector<i16> matrix16_;
+    /** Scratch: per-plane active rows, and execMvm's schedule. */
+    std::vector<std::size_t> planeRows_;
+    std::vector<Conversion> schedule_;
+    /** Exact path scratch: W·x lanes, 32- or 64-bit. */
+    std::vector<i32> acc32_;
+    std::vector<u64> acc64_;
     /** Crossbar path: one array per (slice, row tile, col tile). */
     std::vector<std::unique_ptr<Crossbar>> xbars_;
     /** Crossbar path scratch, reused across every solve. */

@@ -22,7 +22,6 @@ sliceSignedMatrix(const MatrixI &m, int element_bits, int bits_per_cell)
 {
     const int slices = numSlices(element_bits, bits_per_cell);
     const i64 limit = i64{1} << element_bits;
-    const i64 mask = (i64{1} << bits_per_cell) - 1;
 
     std::vector<MatrixI> out(
         static_cast<std::size_t>(slices),
@@ -33,13 +32,9 @@ sliceSignedMatrix(const MatrixI &m, int element_bits, int bits_per_cell)
             if (std::abs(v) >= limit)
                 darth_fatal("sliceSignedMatrix: |", v, "| exceeds ",
                             element_bits, "-bit magnitude");
-            const i64 pos = std::max<i64>(v, 0);
-            const i64 neg = std::max<i64>(-v, 0);
-            for (int s = 0; s < slices; ++s) {
-                const i64 p = (pos >> (s * bits_per_cell)) & mask;
-                const i64 n = (neg >> (s * bits_per_cell)) & mask;
-                out[static_cast<std::size_t>(s)](r, c) = p - n;
-            }
+            for (int s = 0; s < slices; ++s)
+                out[static_cast<std::size_t>(s)](r, c) =
+                    sliceElement(v, s, bits_per_cell);
         }
     }
     return out;
@@ -61,8 +56,8 @@ recombineSlices(const std::vector<MatrixI> &slices, int bits_per_cell)
     return out;
 }
 
-std::vector<InputBitPlane>
-sliceInput(const std::vector<i64> &x, int input_bits)
+bool
+checkInputRange(const std::vector<i64> &x, int input_bits)
 {
     if (input_bits <= 0 || input_bits > 63)
         darth_fatal("sliceInput: input_bits must be in [1, 63]");
@@ -80,6 +75,13 @@ sliceInput(const std::vector<i64> &x, int input_bits)
                                     : v >= (i64{1} << input_bits)))
             darth_fatal("sliceInput: ", v, " outside ", input_bits,
                         "-bit range");
+    return any_negative;
+}
+
+std::vector<InputBitPlane>
+sliceInput(const std::vector<i64> &x, int input_bits)
+{
+    const bool any_negative = checkInputRange(x, input_bits);
 
     // Every value fits, so bit `bit` of its two's complement code is
     // bit `bit` of the value itself.

@@ -44,6 +44,20 @@ std::vector<MatrixI> sliceSignedMatrix(const MatrixI &m,
                                        int element_bits,
                                        int bits_per_cell);
 
+/**
+ * Slice `slice` of one signed element, as sliceSignedMatrix() lays it
+ * out: the difference of that slice of the positive and negative parts.
+ */
+inline i64
+sliceElement(i64 v, int slice, int bits_per_cell)
+{
+    const i64 mask = (i64{1} << bits_per_cell) - 1;
+    const int shift = slice * bits_per_cell;
+    const i64 pos = v > 0 ? v : 0;
+    const i64 neg = v < 0 ? -v : 0;
+    return ((pos >> shift) & mask) - ((neg >> shift) & mask);
+}
+
 /** Reference recombination of sliced matrices (tests). */
 MatrixI recombineSlices(const std::vector<MatrixI> &slices,
                         int bits_per_cell);
@@ -58,6 +72,14 @@ struct InputBitPlane
     /** Per-element bits (0/1). */
     std::vector<int> bits;
 };
+
+/**
+ * The range check of sliceInput(): every value must fit `input_bits`
+ * two's complement bits when any is negative, else `input_bits`
+ * unsigned bits (fatal otherwise). Returns true when some value is
+ * negative, i.e. when the top plane subtracts.
+ */
+bool checkInputRange(const std::vector<i64> &x, int input_bits);
 
 /**
  * Decompose signed inputs into bit planes, LSB first. Values must fit

@@ -59,6 +59,7 @@ Pipeline::setElement(std::size_t vr, std::size_t elem, u64 value)
 {
     checkReg(vr);
     checkElem(elem);
+    settle(vr);
     writeBits(vr, elem, value, 0, cfg_.depth);
 }
 
@@ -110,6 +111,14 @@ Pipeline::setElements(std::size_t vr, const u64 *values,
     if (count > cfg_.width)
         darth_panic("Pipeline: ", count, " elements out of range ",
                     cfg_.width);
+    settle(vr);
+    writeElements(vr, values, count, bits);
+}
+
+void
+Pipeline::writeElements(std::size_t vr, const u64 *values,
+                        std::size_t count, std::size_t bits) const
+{
     u64 in[64] = {0};
     for (std::size_t e = 0; e < count; ++e)
         in[e] = values[e];
@@ -129,6 +138,35 @@ Pipeline::setElements(std::size_t vr, const u64 *values,
 }
 
 void
+Pipeline::holdElements(std::size_t vr, const u64 *values,
+                       std::size_t count, std::size_t bits)
+{
+    checkReg(vr);
+    if (count > cfg_.width)
+        darth_panic("Pipeline: ", count, " elements out of range ",
+                    cfg_.width);
+    // The earlier words land first, exactly as two setElements would.
+    settle(vr);
+    Held &held = held_.emplace_back();
+    held.vr = vr;
+    held.count = count;
+    held.bits = bits;
+    std::copy(values, values + count, held.words);
+}
+
+void
+Pipeline::settleHeld(std::size_t vr) const
+{
+    for (auto it = held_.begin(); it != held_.end(); ++it) {
+        if (it->vr == vr) {
+            writeElements(vr, it->words, it->count, it->bits);
+            held_.erase(it);
+            return;
+        }
+    }
+}
+
+void
 Pipeline::elements(std::size_t vr, u64 *out, std::size_t count,
                    std::size_t bits) const
 {
@@ -136,6 +174,7 @@ Pipeline::elements(std::size_t vr, u64 *out, std::size_t count,
     if (count > cfg_.width)
         darth_panic("Pipeline: ", count, " elements out of range ",
                     cfg_.width);
+    settle(vr);
     u64 columns[64] = {0};
     const std::size_t n =
         std::min<std::size_t>({bits, cfg_.depth, 64});
@@ -153,6 +192,7 @@ Pipeline::element(std::size_t vr, std::size_t elem,
 {
     checkReg(vr);
     checkElem(elem);
+    settle(vr);
     u64 value = 0;
     const std::size_t n = std::min<std::size_t>({bits, cfg_.depth, 64});
     for (std::size_t bit = 0; bit < n; ++bit)
@@ -164,6 +204,7 @@ void
 Pipeline::clearReg(std::size_t vr)
 {
     checkReg(vr);
+    std::erase_if(held_, [vr](const Held &held) { return held.vr == vr; });
     std::fill(bits_[vr].begin(), bits_[vr].end(), u64{0});
 }
 
@@ -272,6 +313,9 @@ Pipeline::execMacro(MacroKind kind, std::size_t dst, std::size_t a,
     if (bits > cfg_.depth)
         darth_panic("Pipeline: macro over ", bits,
                     " bits exceeds depth ", cfg_.depth);
+    settle(a);
+    settle(b);
+    settle(dst);
     const KernelCache::Entry &entry = cachedEntry(kind);
     const BitProgram &program = entry.program;
     runProgram(entry, dst, a, b, bits,
@@ -283,16 +327,39 @@ Pipeline::execMacro(MacroKind kind, std::size_t dst, std::size_t a,
 }
 
 Cycle
-Pipeline::timeMacro(MacroKind kind, std::size_t bits, Cycle issue)
+Pipeline::timeMacroRun(MacroKind kind, std::size_t bits,
+                       const Cycle *issues, std::size_t count)
 {
-    if (bits > cfg_.depth)
-        darth_panic("Pipeline: macro over ", bits,
-                    " bits exceeds depth ", cfg_.depth);
-    const KernelCache::Entry &entry = cachedEntry(kind);
-    const BitProgram &program = entry.program;
-    recordOps(static_cast<u64>(program.opCount()) * bits);
-    return reserveStages(bits, issue, program.opCount(),
-                         program.hasCarryChain());
+    if (count == 0 || bits == 0 || bits > cfg_.depth)
+        darth_panic("Pipeline::timeMacroRun: ", count, " macros over ",
+                    bits, " bits (depth ", cfg_.depth, ")");
+    const BitProgram &program = cachedEntry(kind).program;
+    if (!program.hasCarryChain())
+        darth_panic("Pipeline::timeMacroRun: macro ",
+                    static_cast<int>(kind), " has no carry chain");
+    const Cycle w = program.opCount();
+    opCount_ += static_cast<u64>(count) * w * bits;
+
+    // reserveStages' recurrence for macro k at stage i is
+    // D(k, i) = max(D(k, i-1), D(k-1, i)) + w, entered from the issue
+    // I_k at stage -1 and from the old clock S_i at macro -1. Its
+    // longest path gives the last macro's stage clocks in closed form:
+    // D(K-1, i) = max(from_issue + w(i+1), from_stage(i) + wK), with
+    // from_issue = max_k(I_k + w(K-1-k)) and
+    // from_stage(i) = max_{i' <= i}(S_i' + w(i-i')).
+    Cycle from_issue = 0;
+    for (std::size_t k = 0; k < count; ++k)
+        from_issue = std::max(from_issue,
+                              issues[k] + w * (count - 1 - k));
+    const Cycle run = w * count;
+    Cycle from_stage = 0;
+    for (std::size_t i = 0; i < bits; ++i) {
+        from_stage = i == 0 ? stageFree_[0]
+                            : std::max(from_stage + w, stageFree_[i]);
+        stageFree_[i] =
+            std::max(from_issue + w * (i + 1), from_stage + run);
+    }
+    return stageFree_[bits - 1];
 }
 
 Cycle
@@ -303,6 +370,8 @@ Pipeline::execShift(std::size_t dst, std::size_t src, std::size_t k,
     checkReg(src);
     if (bits > cfg_.depth)
         darth_panic("Pipeline: shift over ", bits, " bits exceeds depth");
+    settle(src);
+    settle(dst);
 
     // Functional: move bit columns by k positions.
     std::vector<u64> out(cfg_.depth, 0);
@@ -334,6 +403,7 @@ Pipeline::writeRow(std::size_t vr, std::size_t elem, u64 value,
     if (lo_bit + bits > cfg_.depth)
         darth_panic("Pipeline::writeRow: bits [", lo_bit, ", ",
                     lo_bit + bits, ") exceed depth ", cfg_.depth);
+    settle(vr);
     writeBits(vr, elem, value, lo_bit, bits);
     recordIo(1);
     return when + 1;        // the DCE write port moves one row/cycle
@@ -373,6 +443,15 @@ Pipeline::elementLoad(std::size_t dst, std::size_t addr_vr,
     for (auto &stage : stageFree_)
         stage = std::max(stage, t);
     return t;
+}
+
+Cycle
+Pipeline::stageFreeAt(std::size_t stage) const
+{
+    if (stage >= stageFree_.size())
+        darth_panic("Pipeline: stage ", stage, " out of range ",
+                    stageFree_.size());
+    return stageFree_[stage];
 }
 
 Cycle

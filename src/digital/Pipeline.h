@@ -14,6 +14,11 @@
  * The pipeline is simultaneously a *functional* simulator (bit columns
  * are evaluated with real gate programs, so results are bit-exact) and
  * a *timing* model (per-stage reservation of array time).
+ *
+ * Registers written through holdElements() keep their element words
+ * and are transposed into bit columns only when an access reaches
+ * them, so an HCT that writes its accumulator after every MVM pays no
+ * transpose unless something reads it.
  */
 
 #ifndef DARTH_DIGITAL_PIPELINE_H
@@ -89,6 +94,16 @@ class Pipeline
                      std::size_t count, std::size_t bits);
 
     /**
+     * setElements() deferred: keeps the words and transposes them into
+     * `vr`'s bit columns only when a read or a partial write reaches
+     * `vr`. Every access sees exactly what setElements() would have
+     * left; clearReg() and a later holdElements() of `vr` discard or
+     * supersede them.
+     */
+    void holdElements(std::size_t vr, const u64 *values,
+                      std::size_t count, std::size_t bits);
+
+    /**
      * Batch read of elements 0..count-1 (low `bits` bits each) into
      * out[e] — the transposed inverse of setElements, used for
      * accumulator readback.
@@ -96,7 +111,7 @@ class Pipeline
     void elements(std::size_t vr, u64 *out, std::size_t count,
                   std::size_t bits) const;
 
-    /** Zero out a vector register. */
+    /** Zero out a vector register (discarding any held words). */
     void clearReg(std::size_t vr);
 
     // ------------------------------------------------------------------
@@ -110,15 +125,18 @@ class Pipeline
                     std::size_t b, std::size_t bits, Cycle issue);
 
     /**
-     * Timing/energy half of execMacro with no functional bit work:
-     * records the same op count and reserves the same stage
-     * occupancy, returning the same completion cycle. For callers
-     * that evaluate the macro's (known) arithmetic element-natively
-     * — the HCT's compiled MVM reduction — and only need the
-     * simulated cost charged; the caller owns re-materializing the
-     * register file (setElements) before anyone reads it.
+     * Timing of `count` >= 1 back-to-back carry-chained macros of one
+     * kind (Add, Sub) over 1..depth bits, issued at
+     * issues[0..count): leaves every stage clock where `count`
+     * execMacro calls in that order would, and returns the latest of
+     * their completions, in O(count + bits) instead of
+     * O(count * bits). No functional work.
+     * Their ops are added to opCount() but not charged to the tally:
+     * the caller charges `dce.boolop`, so a DCE reducing over several
+     * pipelines can add the energy in its per-partial-product order.
      */
-    Cycle timeMacro(MacroKind kind, std::size_t bits, Cycle issue);
+    Cycle timeMacroRun(MacroKind kind, std::size_t bits,
+                       const Cycle *issues, std::size_t count);
 
     /**
      * Logical shift of bit positions by k (up = toward MSB,
@@ -155,9 +173,8 @@ class Pipeline
                       const Pipeline &table, std::size_t table_base_vr,
                       std::size_t bits, Cycle issue);
 
-    /** Earliest cycle at which stage 0 can accept a new macro. */
-    Cycle stage0FreeAt() const { return stageFree_.empty() ? 0
-                                                           : stageFree_[0]; }
+    /** Cycle at which stage `stage` can accept a new macro. */
+    Cycle stageFreeAt(std::size_t stage) const;
 
     /** Cycle at which the whole pipeline drains (max stage time). */
     Cycle drainTime() const;
@@ -204,6 +221,22 @@ class Pipeline
                     u64 carry, bool chain_carry);
 
     /**
+     * The column merge of setElements (unchecked). Const so that a
+     * const reader can settle held words: the columns are mutable.
+     */
+    void writeElements(std::size_t vr, const u64 *values,
+                       std::size_t count, std::size_t bits) const;
+
+    /** Transpose `vr`'s held words, if any, into its bit columns. */
+    void
+    settle(std::size_t vr) const
+    {
+        if (!held_.empty())
+            settleHeld(vr);
+    }
+    void settleHeld(std::size_t vr) const;
+
+    /**
      * Store bits 0..bits-1 of `value` in element `elem`'s row, at
      * columns lo_bit..lo_bit+bits-1 of register `vr` (unchecked).
      */
@@ -224,9 +257,21 @@ class Pipeline
     u64 widthMask_;
     /**
      * bits_[vr][bit] = one bit column packed into a word: bit e is
-     * element e (width <= 64 is enforced at construction).
+     * element e (width <= 64 is enforced at construction). Mutable,
+     * with held_, because settling held words changes how a value is
+     * stored, not the value.
      */
-    std::vector<std::vector<u64>> bits_;
+    mutable std::vector<std::vector<u64>> bits_;
+    /** Words of a holdElements() call not yet transposed into bits_. */
+    struct Held
+    {
+        std::size_t vr = 0;
+        std::size_t count = 0;
+        std::size_t bits = 0;
+        u64 words[64] = {};
+    };
+    /** At most one entry per register. */
+    mutable std::vector<Held> held_;
     std::vector<Cycle> stageFree_;
     /** entries_[kind]: resolved KernelCache entry (null until used). */
     std::vector<const KernelCache::Entry *> entries_;

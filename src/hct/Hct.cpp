@@ -1,8 +1,10 @@
 #include "hct/Hct.h"
 
 #include <algorithm>
-#include <array>
+#include <bit>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/Logging.h"
@@ -20,16 +22,53 @@ namespace
 constexpr std::size_t kAccVr = 0;     //!< running accumulator
 constexpr std::size_t kStageVr = 1;   //!< incoming partial product
 
+/**
+ * Accumulator bits an exact MVM over `rows` rows needs: the element
+ * and input widths, ceil(log2 rows) for the sum, and a sign bit.
+ */
 int
-ceilLog2(u64 n)
+accumulatorBitsNeeded(int element_bits, int input_bits, std::size_t rows)
 {
-    int bits = 0;
-    while ((u64{1} << bits) < n)
-        ++bits;
-    return bits;
+    return element_bits + input_bits +
+           static_cast<int>(std::bit_width(std::max<std::size_t>(rows, 1) -
+                                           1)) +
+           1;
+}
+
+/** Widest accumulator a DCE of this depth reduces into. */
+int
+accumulatorBitsAvailable(const HctConfig &cfg)
+{
+    return static_cast<int>(
+        std::min<std::size_t>(cfg.dce.pipeline.depth, 63));
+}
+
+/** Sign-extend the low `bits` bits of a two's complement word. */
+i64
+signExtend(u64 word, int bits)
+{
+    const u64 sign = u64{1} << (bits - 1);
+    return static_cast<i64>((word ^ sign) - sign);
 }
 
 } // namespace
+
+void
+checkAccumulatorFits(const HctConfig &cfg, int element_bits,
+                     int input_bits, std::size_t rows, const char *who)
+{
+    const int needed =
+        accumulatorBitsNeeded(element_bits, input_bits, rows);
+    const int available = accumulatorBitsAvailable(cfg);
+    if (needed > available)
+        throw std::invalid_argument(
+            std::string(who) + ": an MVM of " + std::to_string(rows) +
+            " rows with " + std::to_string(element_bits) +
+            "-bit elements and " + std::to_string(input_bits) +
+            "-bit inputs needs a " + std::to_string(needed) +
+            "-bit accumulator, but the DCE reduces into " +
+            std::to_string(available) + " bits (the result would wrap)");
+}
 
 HctConfig
 HctConfig::paperDefault(analog::AdcKind adc)
@@ -96,11 +135,10 @@ Hct::accumulatorBits(int input_bits) const
 {
     if (!vacore_.valid)
         darth_fatal("Hct::accumulatorBits: no vACore allocated");
-    const int bits = vacore_.elementBits + input_bits +
-                     ceilLog2(std::max<u64>(ace_.matrix().rows(), 1)) +
-                     1;
-    const int depth = static_cast<int>(cfg_.dce.pipeline.depth);
-    return std::min(std::min(bits, depth), 63);
+    return std::min(accumulatorBitsNeeded(vacore_.elementBits,
+                                          input_bits,
+                                          ace_.matrix().rows()),
+                    accumulatorBitsAvailable(cfg_));
 }
 
 Hct::MvmResult
@@ -110,8 +148,180 @@ Hct::execMvm(const std::vector<i64> &x, int input_bits, Cycle start)
         darth_fatal("Hct::execMvm: the ACE is disabled");
     if (!vacore_.valid)
         darth_fatal("Hct::execMvm: no vACore allocated");
+    checkAccumulatorFits(cfg_, vacore_.elementBits, input_bits,
+                         ace_.matrix().rows(), "Hct::execMvm");
 
     const Cycle analog_start = arbiter_.acquire(Mode::Analog, start);
+    MvmResult result;
+    result.done =
+        cfg_.shiftUnits
+            ? reduceWithShiftUnits(x, input_bits, analog_start,
+                                   result.values)
+            : reduceWalk(x, input_bits, analog_start, result.values);
+    arbiter_.release(result.done);
+    return result;
+}
+
+Cycle
+Hct::reduceWithShiftUnits(const std::vector<i64> &x, int input_bits,
+                          Cycle analog_start, std::vector<i64> &values)
+{
+    const std::size_t cols = ace_.matrix().cols();
+    const int acc_bits = accumulatorBits(input_bits);
+    const u64 mask = (u64{1} << acc_bits) - 1;
+
+    // --- Values. The shift units land each code pre-shifted, and the
+    // ripple-carry ADD/SUB macros compute exactly integer add/sub
+    // mod 2^acc_bits, so the accumulator is the masked sum of the
+    // shifted codes. With no clamp on the exact path that sum is W·x;
+    // only the crossbar path needs the codes one by one.
+    accWords_.resize(cols);
+    if (ace_.config().noise.ideal()) {
+        ace_.execMvmExact(x, input_bits, analog_start, schedule_,
+                          values, lastCodes_);
+        for (std::size_t c = 0; c < cols; ++c)
+            accWords_[c] = static_cast<u64>(values[c]) & mask;
+    } else {
+        const auto stream = ace_.execMvm(x, input_bits, analog_start);
+        schedule_.assign(stream.begin(), stream.end());
+        std::fill(accWords_.begin(), accWords_.end(), u64{0});
+        for (const auto &pp : stream) {
+            for (std::size_t c = 0; c < cols; ++c) {
+                const u64 staged =
+                    static_cast<u64>(pp.values[c] << pp.shift) & mask;
+                accWords_[c] = (pp.negate ? accWords_[c] - staged
+                                          : accWords_[c] + staged) &
+                               mask;
+            }
+        }
+        lastCodes_ = stream.back().values;
+    }
+    ++mvmCount_;
+    values.resize(cols);
+    for (std::size_t c = 0; c < cols; ++c)
+        values[c] = signExtend(accWords_[c], acc_bits);
+    // The staging register keeps the last partial product.
+    stagedWords_.resize(cols);
+    const int last_shift = schedule_.back().shift;
+    for (std::size_t c = 0; c < cols; ++c)
+        stagedWords_[c] =
+            static_cast<u64>(lastCodes_[c] << last_shift) & mask;
+
+    // --- Timing. Per pipeline, each code streams over the network
+    // into DCE rows, one row per cycle, overlapped with the conversion
+    // window (the transpose unit turns the analog row vector into
+    // column elements on the fly; without it the DCE copies element
+    // by element). The ADD/SUB issues when its row has landed, after
+    // the front end's expansion delay when there is no IIU, and the
+    // stage clocks advance in closed form per run of equal macros.
+    const std::size_t width = cfg_.dce.pipeline.width;
+    const std::size_t n_pipes = reductionPipes();
+    const std::size_t count = schedule_.size();
+    const u64 add_ops =
+        digital::KernelCache::instance()
+            .macro(digital::MacroKind::Add, cfg_.dce.pipeline.family)
+            .program.opCount();
+    const u64 sub_ops =
+        digital::KernelCache::instance()
+            .macro(digital::MacroKind::Sub, cfg_.dce.pipeline.family)
+            .program.opCount();
+    const u64 uops_per_add = add_ops * static_cast<u64>(acc_bits);
+    const Cycle overhead = iiu_.issueOverhead(uops_per_add);
+    const Cycle setup = analog_start + iiu_.sequenceSetup();
+    Cycle done = setup;
+    issues_.resize(count);
+    for (std::size_t p = 0; p < n_pipes; ++p) {
+        const std::size_t c0 = p * width;
+        const std::size_t n = std::min(width, cols - c0);
+        const Cycle copies =
+            cfg_.transpose.enabled
+                ? 0
+                : transpose_.transposeCost(
+                      1, n, static_cast<std::size_t>(acc_bits));
+        Cycle port_free = setup;
+        for (std::size_t k = 0; k < count; ++k) {
+            const analog::Conversion &conv = schedule_[k];
+            const Cycle write_begin = std::max(port_free, conv.convStart);
+            port_free =
+                std::max(conv.readyAt,
+                         write_begin + static_cast<Cycle>(n)) +
+                copies;
+            issues_[k] = port_free + overhead;
+        }
+        digital::Pipeline &pipe = dce_.pipeline(p);
+        for (std::size_t k0 = 0; k0 < count;) {
+            std::size_t k1 = k0 + 1;
+            while (k1 < count &&
+                   schedule_[k1].negate == schedule_[k0].negate)
+                ++k1;
+            done = std::max(
+                done, pipe.timeMacroRun(
+                          schedule_[k0].negate ? digital::MacroKind::Sub
+                                               : digital::MacroKind::Add,
+                          static_cast<std::size_t>(acc_bits),
+                          issues_.data() + k0, k1 - k0));
+            k0 = k1;
+        }
+
+        // The register file keeps the accumulator and the last staged
+        // value, transposed only if something reads them.
+        pipe.clearReg(kAccVr);
+        pipe.clearReg(kStageVr);
+        pipe.holdElements(kStageVr, stagedWords_.data() + c0, n,
+                          static_cast<std::size_t>(acc_bits));
+        pipe.holdElements(kAccVr, accWords_.data() + c0, n,
+                          static_cast<std::size_t>(acc_bits));
+    }
+
+    // --- Charges, closed form where they are integers. The doubles
+    // take the per-partial-product addends in partial-product-major,
+    // pipeline-minor order, so every sum is bit-identical to adding
+    // them one transfer and one macro at a time.
+    iiu_.recordInjected(cfg_.iiu.enabled ? count * n_pipes * uops_per_add
+                                         : 0);
+    if (tally_ != nullptr) {
+        const u64 adc_bytes =
+            (static_cast<u64>(cfg_.ace.adc.bits) + 7) / 8;
+        const u64 add_column_ops = add_ops * static_cast<u64>(acc_bits);
+        const u64 sub_column_ops = sub_ops * static_cast<u64>(acc_bits);
+        const double add_energy = static_cast<double>(add_column_ops) *
+                                  cfg_.dce.pipeline.opEnergyPJ;
+        const double sub_energy = static_cast<double>(sub_column_ops) *
+                                  cfg_.dce.pipeline.opEnergyPJ;
+        CostEntry &network = tally_->entry("hct.network");
+        CostEntry &boolop = tally_->entry("dce.boolop");
+        double network_energy = network.energy;
+        double boolop_energy = boolop.energy;
+        u64 subs = 0;
+        for (std::size_t k = 0; k < count; ++k) {
+            const double macro_energy =
+                schedule_[k].negate ? sub_energy : add_energy;
+            subs += schedule_[k].negate;
+            for (std::size_t p = 0; p < n_pipes; ++p) {
+                network_energy +=
+                    static_cast<double>(std::min(width, cols - p * width) *
+                                        adc_bytes) *
+                    cfg_.networkEnergyPerBytePJ;
+                boolop_energy += macro_energy;
+            }
+        }
+        network.events += count * n_pipes;
+        network.cycles += count * cols;
+        network.energy = network_energy;
+        const u64 column_ops =
+            ((count - subs) * add_column_ops + subs * sub_column_ops) *
+            n_pipes;
+        boolop.events += column_ops;
+        boolop.cycles += column_ops;
+        boolop.energy = boolop_energy;
+    }
+    return done;
+}
+
+Cycle
+Hct::reduceWalk(const std::vector<i64> &x, int input_bits,
+                Cycle analog_start, std::vector<i64> &values)
+{
     const auto stream = ace_.execMvm(x, input_bits, analog_start);
     ++mvmCount_;
 
@@ -119,11 +329,7 @@ Hct::execMvm(const std::vector<i64> &x, int input_bits, Cycle start)
     const std::size_t width = cfg_.dce.pipeline.width;
     const std::size_t n_pipes = reductionPipes();
     const int acc_bits = accumulatorBits(input_bits);
-    const u64 mask = acc_bits >= 64 ? ~0ULL
-                                    : ((u64{1} << acc_bits) - 1);
-    // Resolve the network accumulator once per MVM, as the ACE does:
-    // the per-partial-product charge below then skips the string
-    // construction and map walk. Nothing clears the tally mid-MVM.
+    const u64 mask = (u64{1} << acc_bits) - 1;
     CostEntry *t_network =
         tally_ != nullptr ? &tally_->entry("hct.network") : nullptr;
     const u64 adc_bytes =
@@ -139,45 +345,19 @@ Hct::execMvm(const std::vector<i64> &x, int input_bits, Cycle start)
     const Cycle setup = iiu_.sequenceSetup();
     std::vector<Cycle> port_free(n_pipes, analog_start + setup);
     Cycle done = analog_start + setup;
-
-    // Shared translation cache, not a fresh synthesis per MVM: only
-    // the op count is needed here.
-    const digital::BitProgram &add_program =
-        digital::KernelCache::instance()
-            .macro(digital::MacroKind::Add, cfg_.dce.pipeline.family)
-            .program;
     const u64 uops_per_add =
-        static_cast<u64>(add_program.opCount()) *
+        static_cast<u64>(
+            digital::KernelCache::instance()
+                .macro(digital::MacroKind::Add, cfg_.dce.pipeline.family)
+                .program.opCount()) *
         static_cast<u64>(acc_bits);
-
-    // Compiled reduction (shift-unit configs): staging writes and the
-    // ADD/SUB into the accumulator are evaluated element-natively —
-    // integer add/sub mod 2^acc_bits, the exact function of the
-    // synthesized ripple-carry macro — and the register file is
-    // materialized once per MVM instead of once per partial product.
-    // Macro timing/energy is charged through the same
-    // recordOps/reserveStages path either way. Without shift units
-    // the staged value takes a functional execShift detour, so that
-    // path keeps the register-file route.
-    const bool compiled_reduce = cfg_.shiftUnits;
-    std::vector<std::array<u64, 64>> host_acc, host_stage;
-    if (compiled_reduce) {
-        host_acc.assign(n_pipes, {});
-        host_stage.assign(n_pipes, {});
-    }
 
     for (const auto &pp : stream) {
         for (std::size_t p = 0; p < n_pipes; ++p) {
             const std::size_t c0 = p * width;
-            if (c0 >= cols)
-                break;
-            const std::size_t n =
-                std::min(width, cols - c0);
+            const std::size_t n = std::min(width, cols - c0);
 
-            // --- Transfer: ADC outputs stream over the network into
-            // DCE rows, one row per cycle, overlapped with the
-            // conversion window. The transpose unit turns the analog
-            // row vector into column elements on the fly.
+            // --- Transfer: as with shift units, one row per cycle.
             const Cycle write_begin =
                 std::max(port_free[p], pp.convStart);
             Cycle write_done =
@@ -197,112 +377,43 @@ Hct::execMvm(const std::vector<i64> &x, int input_bits, Cycle start)
                                      cfg_.networkEnergyPerBytePJ;
             }
 
-            // --- Placement: with shift units the value lands
-            // pre-shifted; without them the DCE must write, then
-            // shift with Boolean µops (Figure 10a), serializing.
+            // --- Placement: the DCE writes the raw code, then shifts
+            // it with Boolean µops (Figure 10a), serializing.
             digital::Pipeline &pipe = dce_.pipeline(p);
-            Cycle ready = write_done;
-            // Masked to acc_bits, so only the low acc_bits columns
-            // (cleared at reserve, untouched above acc_bits since)
-            // need writing.
             u64 staged[64];
-            if (cfg_.shiftUnits) {
-                for (std::size_t e = 0; e < n; ++e) {
-                    const i64 shifted = pp.values[c0 + e]
-                                        << pp.shift;
-                    staged[e] = static_cast<u64>(shifted) & mask;
-                }
-            } else {
-                for (std::size_t e = 0; e < n; ++e)
-                    staged[e] =
-                        static_cast<u64>(pp.values[c0 + e]) & mask;
-                pipe.setElements(kStageVr, staged, n,
-                                 static_cast<std::size_t>(acc_bits));
-                ready = pipe.execShift(
-                    kStageVr, kStageVr,
-                    static_cast<std::size_t>(pp.shift), true,
-                    static_cast<std::size_t>(acc_bits), write_done);
-            }
+            for (std::size_t e = 0; e < n; ++e)
+                staged[e] = static_cast<u64>(pp.values[c0 + e]) & mask;
+            pipe.setElements(kStageVr, staged, n,
+                             static_cast<std::size_t>(acc_bits));
+            const Cycle ready = pipe.execShift(
+                kStageVr, kStageVr, static_cast<std::size_t>(pp.shift),
+                true, static_cast<std::size_t>(acc_bits), write_done);
 
-            // --- Reduction: pipelined ADD/SUB into the accumulator,
-            // issued by the IIU (or stalled through the front end).
+            // --- Reduction: ADD/SUB into the accumulator, issued by
+            // the IIU (or stalled through the front end).
             const Cycle issue = ready + iiu_.issueOverhead(uops_per_add);
             iiu_.recordInjected(cfg_.iiu.enabled ? uops_per_add : 0);
-            Cycle add_done;
-            if (compiled_reduce) {
-                u64 *stage_p = host_stage[p].data();
-                u64 *acc_p = host_acc[p].data();
-                if (pp.negate)
-                    for (std::size_t e = 0; e < n; ++e)
-                        acc_p[e] = (acc_p[e] - staged[e]) & mask;
-                else
-                    for (std::size_t e = 0; e < n; ++e)
-                        acc_p[e] = (acc_p[e] + staged[e]) & mask;
-                for (std::size_t e = 0; e < n; ++e)
-                    stage_p[e] = staged[e];
-                add_done = pipe.timeMacro(
-                    pp.negate ? digital::MacroKind::Sub
-                              : digital::MacroKind::Add,
-                    static_cast<std::size_t>(acc_bits), issue);
-            } else {
-                add_done = pipe.execMacro(
-                    pp.negate ? digital::MacroKind::Sub
-                              : digital::MacroKind::Add,
-                    kAccVr, kAccVr, kStageVr,
-                    static_cast<std::size_t>(acc_bits), issue);
-            }
-            done = std::max(done, add_done);
+            done = std::max(
+                done, pipe.execMacro(pp.negate ? digital::MacroKind::Sub
+                                               : digital::MacroKind::Add,
+                                     kAccVr, kAccVr, kStageVr,
+                                     static_cast<std::size_t>(acc_bits),
+                                     issue));
         }
     }
 
-    if (compiled_reduce) {
-        // Materialize the element-native state into the register
-        // file once per MVM — bit-identical to what the
-        // per-partial-product path leaves behind.
-        for (std::size_t p = 0; p < n_pipes; ++p) {
-            const std::size_t c0 = p * width;
-            if (c0 >= cols)
-                break;
-            const std::size_t n = std::min(width, cols - c0);
-            digital::Pipeline &pipe = dce_.pipeline(p);
-            pipe.setElements(kStageVr, host_stage[p].data(), n,
-                             static_cast<std::size_t>(acc_bits));
-            pipe.setElements(kAccVr, host_acc[p].data(), n,
-                             static_cast<std::size_t>(acc_bits));
-        }
-    }
-
-    // Read the accumulator back as sign-extended integers, one batch
-    // readback per pipe.
-    MvmResult result;
-    result.values.resize(cols);
+    // Read the accumulator back as sign-extended integers.
+    values.resize(cols);
     for (std::size_t p = 0; p < n_pipes; ++p) {
         const std::size_t c0 = p * width;
-        if (c0 >= cols)
-            break;
         const std::size_t n = std::min(width, cols - c0);
         u64 raw[64];
-        if (compiled_reduce) {
-            // host_acc already holds the masked accumulator words the
-            // register file was just materialized from — skip the
-            // transpose readback.
-            const u64 *acc_p = host_acc[p].data();
-            for (std::size_t e = 0; e < n; ++e)
-                raw[e] = acc_p[e];
-        } else {
-            dce_.pipeline(p).elements(
-                kAccVr, raw, n, static_cast<std::size_t>(acc_bits));
-        }
-        for (std::size_t e = 0; e < n; ++e) {
-            i64 value = static_cast<i64>(raw[e]);
-            if (acc_bits < 64 && (raw[e] >> (acc_bits - 1)) & 1ULL)
-                value -= i64{1} << acc_bits;
-            result.values[c0 + e] = value;
-        }
+        dce_.pipeline(p).elements(kAccVr, raw, n,
+                                  static_cast<std::size_t>(acc_bits));
+        for (std::size_t e = 0; e < n; ++e)
+            values[c0 + e] = signExtend(raw[e], acc_bits);
     }
-    result.done = done;
-    arbiter_.release(done);
-    return result;
+    return done;
 }
 
 Cycle

@@ -18,7 +18,13 @@
  * execMvm() runs the full Figure 9 walkthrough: bit-serial analog MVM,
  * partial-product transfer, and pipelined ADD/SUB reduction in the
  * DCE, returning bit-exact integer results in the ideal-noise
- * configuration.
+ * configuration. With shift units the reduction costs host work per
+ * MVM, not per partial product: the accumulator is the integer sum of
+ * the shifted codes (under ideal noise, one product W·x), each
+ * pipeline's stage clocks advance in closed form over the conversion
+ * schedule, and the accumulator and last staged value are held in the
+ * register file untransposed until read. Without shift units every
+ * partial product is staged, shifted and added in the DCE one by one.
  */
 
 #ifndef DARTH_HCT_HCT_H
@@ -56,6 +62,15 @@ struct HctConfig
     /** The paper's Table 2 configuration for the given ADC kind. */
     static HctConfig paperDefault(analog::AdcKind adc);
 };
+
+/**
+ * Throws std::invalid_argument, naming `who`, when an MVM over `rows`
+ * rows needs a wider accumulator than `cfg`'s DCE reduces into
+ * (min(pipeline depth, 63) bits): its result would wrap.
+ */
+void checkAccumulatorFits(const HctConfig &cfg, int element_bits,
+                          int input_bits, std::size_t rows,
+                          const char *who);
 
 /** A vACore operating point (Section 4.2). */
 struct VACore
@@ -113,7 +128,9 @@ class Hct
 
     /**
      * Full hybrid MVM: y = M x with bit-serial inputs and DCE
-     * reduction.
+     * reduction. Throws std::invalid_argument when the exact result
+     * needs more accumulator bits than the DCE holds
+     * (checkAccumulatorFits).
      *
      * @param x           Signed input vector (length = matrix rows).
      * @param input_bits  Two's complement input width.
@@ -152,6 +169,15 @@ class Hct
     /** Reduction pipelines needed for the current matrix. */
     std::size_t reductionPipes() const;
 
+    /** Shift-unit reduction: element-native sums, closed-form timing. */
+    Cycle reduceWithShiftUnits(const std::vector<i64> &x, int input_bits,
+                               Cycle analog_start,
+                               std::vector<i64> &values);
+
+    /** No shift units: stage, shift and add each partial product. */
+    Cycle reduceWalk(const std::vector<i64> &x, int input_bits,
+                     Cycle analog_start, std::vector<i64> &values);
+
     HctConfig cfg_;
     CostTally *tally_;
     analog::Ace ace_;
@@ -162,6 +188,12 @@ class Hct
     VACore vacore_;
     bool analogEnabled_ = true;
     u64 mvmCount_ = 0;
+    /** Shift-unit reduction scratch, reused across MVMs. */
+    std::vector<analog::Conversion> schedule_;
+    std::vector<i64> lastCodes_;
+    std::vector<u64> accWords_;
+    std::vector<u64> stagedWords_;
+    std::vector<Cycle> issues_;
 };
 
 } // namespace hct

@@ -54,15 +54,6 @@ appendLeU64(std::vector<unsigned char> &buf, u64 v)
         buf.push_back(static_cast<unsigned char>((v >> shift) & 0xff));
 }
 
-void
-appendFrame(std::vector<unsigned char> &buf,
-            const std::vector<unsigned char> &rec, u64 checksum)
-{
-    appendLeU32(buf, static_cast<u32>(rec.size()));
-    buf.insert(buf.end(), rec.begin(), rec.end());
-    appendLeU64(buf, checksum);
-}
-
 u64
 readLeU64(std::istream &in, const std::string &what)
 {
@@ -89,106 +80,147 @@ readLeU32(std::istream &in, const std::string &what)
     return v;
 }
 
+std::string
+RecordName::str() const
+{
+    std::string name = "record " + std::to_string(record);
+    if (segment != kNoSegment)
+        name = "segment " + std::to_string(segment) + " " + name;
+    return name;
+}
+
+namespace
+{
+
+/** Read `n` bytes; throws naming `what` when the stream ends first. */
+void
+readFrameBytes(std::istream &in, unsigned char *buf, std::size_t n,
+               const RecordName &what, const char *truncated)
+{
+    if (!in.read(reinterpret_cast<char *>(buf),
+                 static_cast<std::streamsize>(n)))
+        throw std::runtime_error(std::string("journal: truncated ") +
+                                 truncated + what.str());
+}
+
 u64
-readRecordFrame(std::istream &in, u64 chain, const std::string &what,
+leBytes(const unsigned char *bytes, int n)
+{
+    u64 v = 0;
+    for (int i = 0; i < n; ++i)
+        v |= static_cast<u64>(bytes[i]) << (8 * i);
+    return v;
+}
+
+/** Append-free little-endian store into a sized buffer. */
+unsigned char *
+putLe(unsigned char *at, u64 v, int n)
+{
+    for (int i = 0; i < n; ++i)
+        at[i] = static_cast<unsigned char>((v >> (8 * i)) & 0xff);
+    return at + n;
+}
+
+} // namespace
+
+void
+writeFrame(std::ostream &out, const std::vector<unsigned char> &rec,
+           u64 checksum)
+{
+    unsigned char length[4];
+    unsigned char sum[8];
+    putLe(length, rec.size(), 4);
+    putLe(sum, checksum, 8);
+    out.write(reinterpret_cast<const char *>(length), sizeof(length));
+    out.write(reinterpret_cast<const char *>(rec.data()),
+              static_cast<std::streamsize>(rec.size()));
+    out.write(reinterpret_cast<const char *>(sum), sizeof(sum));
+}
+
+u64
+readRecordFrame(std::istream &in, u64 chain, const RecordName &what,
                 std::vector<unsigned char> &rec)
 {
-    const u32 len = readLeU32(in, what);
+    unsigned char field[8];
+    readFrameBytes(in, field, 4, what, "while reading ");
+    const u64 len = leBytes(field, 4);
     rec.clear();
     while (rec.size() < len) {
         const std::size_t have = rec.size();
         const std::size_t chunk =
             std::min<std::size_t>(len - have, kFrameChunkBytes);
         rec.resize(have + chunk);
-        if (!in.read(reinterpret_cast<char *>(rec.data() + have),
-                     static_cast<std::streamsize>(chunk)))
-            throw std::runtime_error("journal: truncated " + what);
+        readFrameBytes(in, rec.data() + have, chunk, what, "");
     }
-    const u64 stored = readLeU64(in, what);
+    readFrameBytes(in, field, 8, what, "while reading ");
+    const u64 stored = leBytes(field, 8);
     const u64 computed = fnv1aBytes(rec.data(), rec.size(), chain);
     if (computed != stored)
         throw std::runtime_error(
-            "journal: corrupt " + what + " (checksum mismatch, stored " +
-            hexU64(stored) + " computed " + hexU64(computed) + ")");
+            "journal: corrupt " + what.str() +
+            " (checksum mismatch, stored " + hexU64(stored) +
+            " computed " + hexU64(computed) + ")");
     return stored;
 }
 
-/**
- * Canonical little-endian encoding of one record — the bytes the
- * chained checksum covers and writeBinary emits. Field order:
- * kind, cycle, a..d, note length + bytes, value count + words.
- */
-std::vector<unsigned char>
-encodeEventBytes(const JournalEvent &e)
+/** Field order: kind, cycle, a..d, note length + bytes, value count +
+ *  words. */
+void
+encodeEventBytes(const JournalEvent &e, std::vector<unsigned char> &out)
 {
-    std::vector<unsigned char> buf;
-    buf.reserve(56 + e.note.size() + 8 * e.values.size());
-    appendLeU32(buf, static_cast<u32>(e.kind));
-    appendLeU64(buf, e.cycle);
-    appendLeU64(buf, e.a);
-    appendLeU64(buf, e.b);
-    appendLeU64(buf, e.c);
-    appendLeU64(buf, e.d);
-    appendLeU32(buf, static_cast<u32>(e.note.size()));
-    for (char ch : e.note)
-        buf.push_back(static_cast<unsigned char>(ch));
-    appendLeU32(buf, static_cast<u32>(e.values.size()));
+    out.resize(4 + 5 * 8 + 4 + e.note.size() + 4 + 8 * e.values.size());
+    unsigned char *at = out.data();
+    at = putLe(at, static_cast<u32>(e.kind), 4);
+    at = putLe(at, e.cycle, 8);
+    at = putLe(at, e.a, 8);
+    at = putLe(at, e.b, 8);
+    at = putLe(at, e.c, 8);
+    at = putLe(at, e.d, 8);
+    at = putLe(at, e.note.size(), 4);
+    at = std::copy(e.note.begin(), e.note.end(), at);
+    at = putLe(at, e.values.size(), 4);
     for (i64 v : e.values)
-        appendLeU64(buf, static_cast<u64>(v));
-    return buf;
+        at = putLe(at, static_cast<u64>(v), 8);
 }
 
-JournalEvent
+void
 decodeEventBytes(const std::vector<unsigned char> &rec,
-                 const std::string &what)
+                 const RecordName &what, JournalEvent &e)
 {
-    JournalEvent e;
     std::size_t pos = 0;
-    auto takeU32 = [&rec, &pos, &what]() -> u32 {
-        if (pos + 4 > rec.size())
-            throw std::runtime_error("journal: malformed " + what);
-        u32 v = 0;
-        for (int k = 0; k < 4; ++k)
-            v |= static_cast<u32>(rec[pos + k]) << (8 * k);
-        pos += 4;
+    auto take = [&rec, &pos, &what](int n) -> u64 {
+        if (pos + static_cast<std::size_t>(n) > rec.size())
+            throw std::runtime_error("journal: malformed " + what.str());
+        const u64 v = leBytes(rec.data() + pos, n);
+        pos += static_cast<std::size_t>(n);
         return v;
     };
-    auto takeU64 = [&rec, &pos, &what]() -> u64 {
-        if (pos + 8 > rec.size())
-            throw std::runtime_error("journal: malformed " + what);
-        u64 v = 0;
-        for (int k = 0; k < 8; ++k)
-            v |= static_cast<u64>(rec[pos + k]) << (8 * k);
-        pos += 8;
-        return v;
-    };
-    const u32 kindRaw = takeU32();
+    const u64 kindRaw = take(4);
     if (kindRaw > static_cast<u32>(EventKind::RequestSummary))
-        throw std::runtime_error("journal: " + what +
+        throw std::runtime_error("journal: " + what.str() +
                                  " has unknown event kind " +
                                  std::to_string(kindRaw));
     e.kind = static_cast<EventKind>(kindRaw);
-    e.cycle = takeU64();
-    e.a = takeU64();
-    e.b = takeU64();
-    e.c = takeU64();
-    e.d = takeU64();
-    const u32 noteLen = takeU32();
+    e.cycle = take(8);
+    e.a = take(8);
+    e.b = take(8);
+    e.c = take(8);
+    e.d = take(8);
+    const u64 noteLen = take(4);
     if (noteLen > kMaxNoteBytes || pos + noteLen > rec.size())
-        throw std::runtime_error("journal: malformed " + what);
+        throw std::runtime_error("journal: malformed " + what.str());
     e.note.assign(reinterpret_cast<const char *>(rec.data()) + pos,
                   noteLen);
     pos += noteLen;
-    const u32 valueCount = takeU32();
+    const u64 valueCount = take(4);
     if (valueCount > kMaxValueWords || valueCount > (rec.size() - pos) / 8)
-        throw std::runtime_error("journal: malformed " + what);
-    e.values.reserve(valueCount);
-    for (u32 v = 0; v < valueCount; ++v)
-        e.values.push_back(static_cast<i64>(takeU64()));
+        throw std::runtime_error("journal: malformed " + what.str());
+    e.values.resize(valueCount);
+    for (i64 &v : e.values)
+        v = static_cast<i64>(take(8));
     if (pos != rec.size())
-        throw std::runtime_error("journal: " + what +
+        throw std::runtime_error("journal: " + what.str() +
                                  " has trailing bytes");
-    return e;
 }
 
 /**
@@ -265,14 +297,14 @@ Journal::append(JournalEvent event)
         throw std::runtime_error("journal: event note too long");
     if (event.values.size() > kMaxValueWords)
         throw std::runtime_error("journal: event payload too long");
-    const std::vector<unsigned char> encoded = encodeEventBytes(event);
+    encodeEventBytes(event, encoded_);
     const u64 prev = count_ == 0 ? journalChainBasis() : chainTail_;
     const u64 checksum =
-        fnv1aBytes(encoded.data(), encoded.size(), prev);
+        fnv1aBytes(encoded_.data(), encoded_.size(), prev);
     chainTail_ = checksum;
     const std::size_t index = count_++;
     if (sink_ != nullptr)
-        sink_->onRecord(event, index, checksum, encoded);
+        sink_->onRecord(event, index, checksum, encoded_);
     if (retain_)
         events_.push_back(std::move(event));
     return index;
@@ -340,14 +372,14 @@ Journal::writeBinary(std::ostream &out) const
     appendLeU32(buf, kFormatVersion);
     appendLeU32(buf, 0); // reserved
     appendLeU64(buf, events_.size());
-    u64 chain = journalChainBasis();
-    for (const JournalEvent &e : events_) {
-        const std::vector<unsigned char> rec = encodeEventBytes(e);
-        chain = fnv1aBytes(rec.data(), rec.size(), chain);
-        appendFrame(buf, rec, chain);
-    }
     out.write(reinterpret_cast<const char *>(buf.data()),
               static_cast<std::streamsize>(buf.size()));
+    u64 chain = journalChainBasis();
+    for (const JournalEvent &e : events_) {
+        encodeEventBytes(e, buf);
+        chain = fnv1aBytes(buf.data(), buf.size(), chain);
+        writeFrame(out, buf, chain);
+    }
 }
 
 Journal
@@ -371,12 +403,14 @@ Journal::readBinary(std::istream &in)
     u64 chain = journalChainBasis();
     std::vector<unsigned char> rec;
     for (u64 i = 0; i < count; ++i) {
-        const std::string what = "record " + std::to_string(i);
+        const RecordName what{i};
         chain = readRecordFrame(in, chain, what, rec);
         // Decode the verified canonical bytes. append() re-derives the
         // same chain from the same bytes, so the in-memory chain
         // equals the verified on-disk chain.
-        out.append(decodeEventBytes(rec, what));
+        JournalEvent e;
+        decodeEventBytes(rec, what, e);
+        out.append(std::move(e));
     }
     return out;
 }

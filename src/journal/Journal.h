@@ -23,7 +23,7 @@
  * checksum — is therefore a digest of the entire run.
  *
  * Two containers share one canonical record encoding and one record
- * frame (appendFrame / readRecordFrame):
+ * frame (writeFrame / readRecordFrame):
  *
  *  - writeBinary / readBinary — the monolithic stream form
  *    (little-endian, fixed header "DARTHJNL" + format version +
@@ -183,14 +183,30 @@ const char *eventKindName(EventKind kind);
 
 struct JournalEvent;
 
-/** Canonical little-endian encoding of one record — the bytes the
- *  chained checksum covers and every durable format stores. */
-std::vector<unsigned char> encodeEventBytes(const JournalEvent &e);
+/**
+ * Where a record sits, for error messages: "record R", or "segment S
+ * record R" in a segmented journal. The string is built only when an
+ * error is thrown.
+ */
+struct RecordName
+{
+    static constexpr u64 kNoSegment = ~u64{0};
+    u64 record = 0;
+    u64 segment = kNoSegment;
+    std::string str() const;
+};
 
-/** Decode canonical record bytes (the inverse of encodeEventBytes);
- *  throws std::runtime_error naming `what` on malformed input. */
-JournalEvent decodeEventBytes(const std::vector<unsigned char> &rec,
-                              const std::string &what);
+/** Canonical little-endian encoding of one record — the bytes the
+ *  chained checksum covers and every durable format stores —
+ *  replacing the contents of `out` (its capacity is reused). */
+void encodeEventBytes(const JournalEvent &e,
+                      std::vector<unsigned char> &out);
+
+/** Decode canonical record bytes into `out` (the inverse of
+ *  encodeEventBytes; `out`'s capacity is reused); throws
+ *  std::runtime_error naming `what` on malformed input. */
+void decodeEventBytes(const std::vector<unsigned char> &rec,
+                      const RecordName &what, JournalEvent &out);
 
 /** Checksum seed of record 0: FNV-1a over the fixed format prefix
  *  (magic + version) — the chain basis shared by the monolithic
@@ -202,10 +218,10 @@ u64 journalChainBasis();
 void appendLeU32(std::vector<unsigned char> &buf, u32 v);
 void appendLeU64(std::vector<unsigned char> &buf, u64 v);
 
-/** Append one record frame of the durable formats: u32 record
+/** Write one record frame of the durable formats: u32 record
  *  length, canonical record bytes, u64 chained checksum. */
-void appendFrame(std::vector<unsigned char> &buf,
-                 const std::vector<unsigned char> &rec, u64 checksum);
+void writeFrame(std::ostream &out, const std::vector<unsigned char> &rec,
+                u64 checksum);
 
 /** Read one field; throws std::runtime_error naming `what` when the
  *  stream is truncated. */
@@ -221,7 +237,7 @@ u64 readLeU64(std::istream &in, const std::string &what);
  * naming `what` (the record, and the segment) when the frame is
  * truncated or its checksum does not continue the chain.
  */
-u64 readRecordFrame(std::istream &in, u64 chain, const std::string &what,
+u64 readRecordFrame(std::istream &in, u64 chain, const RecordName &what,
                     std::vector<unsigned char> &rec);
 
 /** Admit's stage argument for whole-unit admissions. */
@@ -366,6 +382,8 @@ class Journal
     u64 chainTail_ = 0;
     bool retain_ = true;
     JournalSink *sink_ = nullptr;
+    /** The record being appended, encoded (reused across appends). */
+    std::vector<unsigned char> encoded_;
 };
 
 } // namespace journal

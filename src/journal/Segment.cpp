@@ -86,18 +86,14 @@ SegmentWriter::onRecord(const JournalEvent &event, std::size_t index,
     (void)event;
     if (!open_)
         openSegment(segmentsOpened_, index, chain_);
-    std::vector<unsigned char> buf;
-    buf.reserve(12 + encoded.size());
-    appendFrame(buf, encoded, checksum);
-    out_.write(reinterpret_cast<const char *>(buf.data()),
-               static_cast<std::streamsize>(buf.size()));
+    writeFrame(out_, encoded, checksum);
     if (!out_)
         throw std::runtime_error(
             "journal: write to segment " +
             std::to_string(segmentsOpened_ - 1) + " in " + dir_ +
             " failed");
     chain_ = checksum;
-    currentBytes_ += buf.size();
+    currentBytes_ += 4 + encoded.size() + 8;
     if (currentBytes_ >= maxSegmentBytes_) {
         out_.flush();
         if (!out_)
@@ -198,11 +194,9 @@ SegmentReader::next(JournalEvent &out)
                 return false;
             continue;
         }
-        const std::string where =
-            "segment " + std::to_string(segmentIndex_ - 1) +
-            " record " + std::to_string(recordIndex_);
+        const RecordName where{recordIndex_, segmentIndex_ - 1};
         const u64 stored = readRecordFrame(in_, chain_, where, frame_);
-        out = decodeEventBytes(frame_, where);
+        decodeEventBytes(frame_, where, out);
         chain_ = stored;
         ++recordIndex_;
         return true;

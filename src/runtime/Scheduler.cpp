@@ -15,8 +15,10 @@ namespace runtime
 namespace
 {
 
-/** doneCycle_ sentinel for a submitted-but-unexecuted request. */
-constexpr Cycle kPendingDone = ~Cycle{0};
+/** doneCycle_ entry of a submitted-but-unexecuted request. */
+constexpr u32 kPendingDone = ~u32{0};
+/** doneCycle_ entry of a request whose done cycle is in wideDone_. */
+constexpr u32 kWideDone = kPendingDone - 1;
 
 } // namespace
 
@@ -55,6 +57,10 @@ Scheduler::submit(const PlacedMatrix &pm, std::vector<i64> x,
         throw std::invalid_argument(
             "Scheduler::submit: input_bits must be positive, got " +
             std::to_string(input_bits));
+    for (const auto &part : pm.plan.parts)
+        hct::checkAccumulatorFits(chip_.config().hct,
+                                  pm.plan.elementBits, input_bits,
+                                  part.numRows, "Scheduler::submit");
 
     // Validate dependencies before allocating the id: a throw here
     // must leave ids and the doneCycle_ index in lockstep.
@@ -119,8 +125,15 @@ Scheduler::depBound(const Request &req) const
 {
     Cycle bound = 0;
     for (RequestId dep : req.deps)
-        bound = std::max(bound, doneCycle_[dep - 1]);
+        bound = std::max(bound, doneCycleOf(dep));
     return bound;
+}
+
+Cycle
+Scheduler::doneCycleOf(RequestId id) const
+{
+    const u32 done = doneCycle_[id - 1];
+    return done == kWideDone ? wideDone_.at(id) : Cycle{done};
 }
 
 Cycle
@@ -304,7 +317,12 @@ Scheduler::executeAt(std::size_t index)
     }
     result.done = done;
 
-    doneCycle_[req.id - 1] = done;
+    if (done < kWideDone) {
+        doneCycle_[req.id - 1] = static_cast<u32>(done);
+    } else {
+        doneCycle_[req.id - 1] = kWideDone;
+        wideDone_[req.id] = done;
+    }
     ++counters_.issued;
     counters_.pipelineHits += pipelined;
     results_.emplace(req.id,

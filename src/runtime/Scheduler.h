@@ -38,6 +38,7 @@
 #define DARTH_RUNTIME_SCHEDULER_H
 
 #include <cstddef>
+#include <deque>
 #include <map>
 #include <vector>
 
@@ -141,8 +142,10 @@ class Scheduler
 
     /**
      * Enqueue one MVM against a placed matrix. Validates the input
-     * length against the placement plan (std::invalid_argument on
-     * mismatch) but executes nothing yet.
+     * length against the placement plan, and that no part's exact
+     * result outgrows its tile's accumulator (hct::
+     * checkAccumulatorFits), with std::invalid_argument, but executes
+     * nothing yet.
      *
      * @param earliest  Lower bound on the start cycle (e.g. the
      *                  producing kernel's completion).
@@ -294,6 +297,9 @@ class Scheduler
     /** Max done cycle over executed dependencies (0 when none). */
     Cycle depBound(const Request &req) const REQUIRES(mu_);
 
+    /** Done cycle of an executed request (doneCycle_ decoded). */
+    Cycle doneCycleOf(RequestId id) const REQUIRES(mu_);
+
     /** Earliest start the request could achieve right now. */
     Cycle achievableStart(const Request &req) const REQUIRES(mu_);
 
@@ -326,11 +332,14 @@ class Scheduler
     std::vector<u64> lastUid_ GUARDED_BY(mu_);
     /** Done cycle per executed request, indexed by RequestId - 1
      *  (kPendingDone until execution) — dependency resolution. Grows
-     *  8 bytes per submitted request for the scheduler's lifetime:
+     *  4 bytes per submitted request for the scheduler's lifetime:
      *  clients may hold futures (and submit dependents) arbitrarily
-     *  late, so no entry is provably dead. Acceptable for simulated
-     *  runs (~8 MB per million requests). */
-    std::vector<Cycle> doneCycle_ GUARDED_BY(mu_);
+     *  late, so no entry is provably dead. A cycle too wide for 32
+     *  bits is stored as kWideDone with its value in wideDone_. A
+     *  deque grows without reallocating, so the peak stays ~4 MB per
+     *  million requests. */
+    std::deque<u32> doneCycle_ GUARDED_BY(mu_);
+    std::map<RequestId, Cycle> wideDone_ GUARDED_BY(mu_);
     RequestId nextId_ GUARDED_BY(mu_) = 1;
     u64 completed_ GUARDED_BY(mu_) = 0;
     SchedulerCounters counters_ GUARDED_BY(mu_);

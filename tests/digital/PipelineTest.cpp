@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/Random.h"
 #include "digital/Pipeline.h"
 
 namespace darth
@@ -249,6 +250,104 @@ TEST(PipelineDeath, WideWidthIsFatal)
     PipelineConfig cfg = smallConfig();
     cfg.width = 65;
     EXPECT_THROW(Pipeline{cfg}, std::runtime_error);
+}
+
+TEST(Pipeline, MacroRunMatchesTheWalk)
+{
+    // Closed-form run timing against one execMacro per issue, from
+    // random stage clocks (left by random earlier macros and shifts),
+    // with random non-monotone issues and mixed ADD (11-op) / SUB
+    // (12-op) runs.
+    PipelineConfig cfg = smallConfig();
+    cfg.depth = 32;
+    Rng rng(2024);
+    for (int trial = 0; trial < 400; ++trial) {
+        Pipeline walk(cfg);
+        Pipeline closed(cfg);
+        const int warmups = static_cast<int>(rng.uniformInt(0, 6));
+        for (int w = 0; w < warmups; ++w) {
+            const auto bits =
+                static_cast<std::size_t>(rng.uniformInt(1, 32));
+            const auto issue = static_cast<Cycle>(rng.uniformInt(0, 600));
+            const i64 what = rng.uniformInt(0, 3);
+            for (Pipeline *pipe : {&walk, &closed}) {
+                if (what == 3)
+                    pipe->execShift(3, 4, 2, true, bits, issue);
+                else
+                    pipe->execMacro(what == 0   ? MacroKind::Xor
+                                    : what == 1 ? MacroKind::Add
+                                                : MacroKind::Sub,
+                                    2, 0, 1, bits, issue);
+            }
+        }
+        const auto bits = static_cast<std::size_t>(rng.uniformInt(1, 32));
+        const int runs = static_cast<int>(rng.uniformInt(1, 3));
+        for (int r = 0; r < runs; ++r) {
+            const MacroKind kind =
+                rng.uniformInt(0, 1) == 0 ? MacroKind::Add : MacroKind::Sub;
+            std::vector<Cycle> issues(
+                static_cast<std::size_t>(rng.uniformInt(1, 20)));
+            for (Cycle &issue : issues)
+                issue = static_cast<Cycle>(rng.uniformInt(0, 3000));
+            Cycle latest = 0;
+            for (Cycle issue : issues)
+                latest = std::max(
+                    latest, walk.execMacro(kind, 2, 0, 1, bits, issue));
+            ASSERT_EQ(closed.timeMacroRun(kind, bits, issues.data(),
+                                          issues.size()),
+                      latest)
+                << "trial " << trial << " run " << r;
+            ASSERT_EQ(closed.opCount(), walk.opCount())
+                << "trial " << trial << " run " << r;
+            for (std::size_t i = 0; i < cfg.depth; ++i)
+                ASSERT_EQ(closed.stageFreeAt(i), walk.stageFreeAt(i))
+                    << "trial " << trial << " run " << r << " stage " << i;
+        }
+    }
+}
+
+TEST(Pipeline, MacroRunChargesNoTally)
+{
+    // The caller charges the energy in its own order; only the op
+    // count moves.
+    CostTally tally;
+    Pipeline pipe(smallConfig(), &tally);
+    const Cycle issues[3] = {0, 4, 9};
+    pipe.timeMacroRun(MacroKind::Add, 16, issues, 3);
+    EXPECT_EQ(tally.get("dce.boolop").events, 0u);
+    EXPECT_EQ(pipe.opCount(),
+              3u * 16u *
+                  KernelCache::instance()
+                      .macro(MacroKind::Add, LogicFamilyKind::Oscar)
+                      .program.opCount());
+}
+
+TEST(Pipeline, HeldElementsReadLikeSetElements)
+{
+    // held words overlay the columns exactly as setElements would:
+    // elements past `count` and columns past `bits` keep their bits.
+    Pipeline eager(smallConfig());
+    Pipeline lazy(smallConfig());
+    for (Pipeline *pipe : {&eager, &lazy})
+        for (std::size_t e = 0; e < 8; ++e)
+            pipe->setElement(2, e, 0xA5A5 + e);
+    const u64 first[5] = {1, 0xFF, 3, 0x1234, 0x7};
+    const u64 second[3] = {0xF0, 0x0F, 0xAA};
+    eager.setElements(2, first, 5, 12);
+    eager.setElements(2, second, 3, 6);
+    lazy.holdElements(2, first, 5, 12);
+    lazy.holdElements(2, second, 3, 6);
+    for (std::size_t e = 0; e < 8; ++e)
+        EXPECT_EQ(lazy.element(2, e, 16), eager.element(2, e, 16)) << e;
+
+    // clearReg drops held words: nothing resurfaces on a later read or
+    // partial write.
+    lazy.holdElements(3, first, 5, 12);
+    lazy.clearReg(3);
+    lazy.writeRow(3, 0, 1, 0, 1, 0);
+    EXPECT_EQ(lazy.element(3, 0, 16), 1u);
+    for (std::size_t e = 1; e < 8; ++e)
+        EXPECT_EQ(lazy.element(3, e, 16), 0u) << e;
 }
 
 /** Property sweep: pipeline arithmetic matches integer semantics. */

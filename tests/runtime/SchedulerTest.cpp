@@ -136,6 +136,49 @@ TEST(Scheduler, SessionsCannotUseForeignHandles)
               reference(handle_a.matrix(), std::vector<i64>(8, 1)));
 }
 
+TEST(Scheduler, MvmOutgrowingTheAccumulatorIsRejectedAtSubmit)
+{
+    // 64 rows of 7-bit elements times 8-bit inputs need a 22-bit
+    // accumulator; a depth-16 DCE would return a wrapped result.
+    ChipConfig cfg = smallChip(1);
+    cfg.hct.dce.pipeline.depth = 16;
+    cfg.hct.ace.arrayRows = 128;
+    Chip chip(cfg);
+    Runtime rt(chip);
+    Session session = rt.createSession();
+    const MatrixHandle handle =
+        session.setMatrixBits(MatrixI(64, 8, 127), 7, 2);
+    EXPECT_THROW(session.submit(handle, std::vector<i64>(64, 127), 8),
+                 std::invalid_argument);
+    EXPECT_THROW(session.submit(handle, std::vector<i64>(64, 1), 3),
+                 std::invalid_argument);
+    EXPECT_EQ(rt.scheduler().pendingCount(), 0u);
+    // 2-bit inputs need exactly the 16 bits there are.
+    EXPECT_EQ(session.execMVM(handle, std::vector<i64>(64, 1), 2).values,
+              std::vector<i64>(8, 64 * 127));
+}
+
+TEST(Scheduler, DependencyOnADoneCycleWiderThan32Bits)
+{
+    // Done cycles past 2^32 leave the 4-byte table for the wide map
+    // and still bound their dependents exactly.
+    Chip chip(smallChip(2));
+    Runtime rt(chip);
+    Session session = rt.createSession();
+    const MatrixHandle a =
+        session.setMatrix(randomMatrix(8, 8, 0, 1, 507), 1, 0);
+    const MatrixHandle b =
+        session.setMatrix(randomMatrix(8, 8, 0, 1, 508), 1, 0);
+    const Cycle late = Cycle{1} << 33;
+    const MvmFuture first =
+        session.submit(a, std::vector<i64>(8, 1), 1, late);
+    const MvmResult first_result = session.wait(first);
+    ASSERT_GT(first_result.done, late);
+    const MvmFuture second =
+        session.submit(b, std::vector<i64>(8, 1), 1, 0, {first});
+    EXPECT_EQ(session.wait(second).start, first_result.done);
+}
+
 TEST(Scheduler, HandleMoveTransfersOwnership)
 {
     Chip chip(smallChip(2));

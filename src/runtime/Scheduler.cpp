@@ -71,21 +71,52 @@ Scheduler::submit(const PlacedMatrix &pm, std::vector<i64> x,
                 "Scheduler::submit: `after` future is invalid, from "
                 "another scheduler, or was never submitted");
 
-    Request req;
+    const Cycle cost = oracleCostLocked(pm.plan, input_bits);
+    // A submission joins the back run when it shares the run's
+    // placement, `earliest` and `after` list; otherwise it opens one.
+    const auto same_deps = [&](const Run &run) {
+        return std::equal(run.deps.begin(), run.deps.end(),
+                          after.begin(), after.end(),
+                          [](RequestId id, const MvmFuture &dep) {
+                              return id == dep.id();
+                          });
+    };
+    if (runs_.empty() || runs_.back().pm != &pm ||
+        runs_.back().earliest != earliest || !same_deps(runs_.back())) {
+        Run run;
+        run.pm = &pm;
+        run.earliest = earliest;
+        run.deps.reserve(after.size());
+        for (const MvmFuture &dep : after)
+            run.deps.push_back(dep.id());
+        runs_.push_back(std::move(run));
+    }
+
+    u32 slot = freeSlot_;
+    if (slot == kNoSlot) {
+        slot = static_cast<u32>(slots_.size());
+        slots_.emplace_back();
+    } else {
+        freeSlot_ = slots_[slot].next;
+    }
+    Request &req = slots_[slot];
     req.id = nextId_++;
-    req.pm = &pm;
     req.x = std::move(x);
     req.inputBits = input_bits;
-    req.earliest = earliest;
-    req.session = pm.session;
-    req.oracleCost = oracleCostLocked(pm.plan, input_bits);
-    req.deps.reserve(after.size());
-    for (const MvmFuture &dep : after)
-        req.deps.push_back(dep.id());
+    req.next = kNoSlot;
+    req.oracleCost = cost;
+
+    Run &run = runs_.back();
+    if (run.size == 0)
+        run.head = slot;
+    else
+        slots_[run.tail].next = slot;
+    run.tail = slot;
+    ++run.size;
+    ++pending_;
     doneCycle_.push_back(kPendingDone);
-    backlog_ += req.oracleCost;
-    queue_.push_back(std::move(req));
-    return MvmFuture(queue_.back().id, this);
+    backlog_ += cost;
+    return MvmFuture(req.id, this);
 }
 
 Cycle
@@ -112,19 +143,19 @@ Scheduler::oracleCostLocked(const MatrixPlan &plan, int input_bits)
 }
 
 bool
-Scheduler::depsReady(const Request &req) const
+Scheduler::depsReady(const Run &run) const
 {
-    for (RequestId dep : req.deps)
+    for (RequestId dep : run.deps)
         if (doneCycle_[dep - 1] == kPendingDone)
             return false;
     return true;
 }
 
 Cycle
-Scheduler::depBound(const Request &req) const
+Scheduler::depBound(const Run &run) const
 {
     Cycle bound = 0;
-    for (RequestId dep : req.deps)
+    for (RequestId dep : run.deps)
         bound = std::max(bound, doneCycleOf(dep));
     return bound;
 }
@@ -147,35 +178,71 @@ Scheduler::tileReady(std::size_t hct, const PlacedMatrix &pm) const
 }
 
 Cycle
-Scheduler::achievableStart(const Request &req) const
+Scheduler::achievableStart(const Run &run) const
 {
-    Cycle start = std::max(req.earliest, depBound(req));
-    for (const auto &part : req.pm->plan.parts)
-        start = std::max(start, tileReady(part.hctIndex, *req.pm));
+    Cycle start = std::max(run.earliest, depBound(run));
+    for (const auto &part : run.pm->plan.parts)
+        start = std::max(start, tileReady(part.hctIndex, *run.pm));
     return start;
 }
 
 std::size_t
 Scheduler::pickNext() const
 {
+    // Members of a run share readiness and achievable start, and runs
+    // are in submission order, so the first run front with the
+    // earliest start is the lowest-id request with it.
     if (drainOrder_ == DrainOrder::Submission)
         return 0;
-    std::size_t best = queue_.size();
+    std::size_t best = runs_.size();
     Cycle best_start = 0;
-    for (std::size_t i = 0; i < queue_.size(); ++i) {
-        if (!depsReady(queue_[i]))
+    for (std::size_t i = 0; i < runs_.size(); ++i) {
+        if (!depsReady(runs_[i]))
             continue;
-        const Cycle start = achievableStart(queue_[i]);
+        const Cycle start = achievableStart(runs_[i]);
         // Strictly-less keeps submission order as the tiebreak.
-        if (best == queue_.size() || start < best_start) {
+        if (best == runs_.size() || start < best_start) {
             best = i;
             best_start = start;
         }
     }
-    if (best == queue_.size())
+    if (best == runs_.size())
         darth_panic("Scheduler::pickNext: no dependency-ready request "
                     "in a non-empty queue (dependency cycle?)");
     return best;
+}
+
+const Scheduler::Run &
+Scheduler::owningRun(RequestId id) const
+{
+    // A local alias: clang's -Wthread-safety does not carry the held
+    // lock into lambda bodies.
+    const std::vector<Request> &slots = slots_;
+    const auto after = std::upper_bound(
+        runs_.begin(), runs_.end(), id,
+        [&slots](RequestId v, const Run &run) {
+            return v < slots[run.head].id;
+        });
+    if (after == runs_.begin())
+        darth_panic("Scheduler::owningRun: request ", id,
+                    " is pending but precedes every queued run");
+    return *(after - 1);
+}
+
+Scheduler::Request
+Scheduler::popFront(std::size_t index)
+{
+    Run &run = runs_[index];
+    const u32 slot = run.head;
+    Request req = std::move(slots_[slot]);
+    run.head = req.next;
+    slots_[slot].next = freeSlot_;
+    freeSlot_ = slot;
+    if (--run.size == 0)
+        runs_.erase(runs_.begin() + static_cast<std::ptrdiff_t>(index));
+    --pending_;
+    backlog_ -= std::min(backlog_, req.oracleCost);
+    return req;
 }
 
 void
@@ -207,37 +274,37 @@ Scheduler::pendingRequests(u64 session) const
 {
     SeqLock lock(mu_);
     std::size_t count = 0;
-    for (const auto &req : queue_)
-        count += req.session == session;
+    for (const Run &run : runs_)
+        if (run.pm->session == session)
+            count += run.size;
     return count;
 }
 
 void
 Scheduler::executeAt(std::size_t index)
 {
-    Request req = std::move(queue_[index]);
-    queue_.erase(queue_.begin() +
-                 static_cast<std::ptrdiff_t>(index));
-    backlog_ -= std::min(backlog_, req.oracleCost);
+    const Run &run = runs_[index];
+    const PlacedMatrix &pm = *run.pm;
+    const MatrixPlan &plan = pm.plan;
 
-    const MatrixPlan &plan = req.pm->plan;
-    MvmResult result;
-    result.values.assign(plan.cols, 0);
-
-    // Dependencies completed (pickNext only offers ready requests);
-    // their done cycles harden the earliest bound.
-    const Cycle dep_bound = depBound(req);
-    const Cycle earliest = std::max(req.earliest, dep_bound);
+    // Dependencies completed (pickNext only offers ready runs); their
+    // done cycles harden the earliest bound.
+    const Cycle dep_bound = depBound(run);
+    const Cycle earliest = std::max(run.earliest, dep_bound);
     // A dependency stall is a start pushed later than both the
     // submit-time earliest and what the tiles alone would allow.
-    if (!req.deps.empty()) {
-        Cycle tile_bound = req.earliest;
+    if (!run.deps.empty()) {
+        Cycle tile_bound = run.earliest;
         for (const auto &part : plan.parts)
-            tile_bound = std::max(
-                tile_bound, tileReady(part.hctIndex, *req.pm));
+            tile_bound =
+                std::max(tile_bound, tileReady(part.hctIndex, pm));
         if (dep_bound > tile_bound)
             ++counters_.dependencyStalls;
     }
+    const Request req = popFront(index);
+
+    MvmResult result;
+    result.values.assign(plan.cols, 0);
 
     bool first = true;
     bool pipelined = false;
@@ -248,8 +315,8 @@ Scheduler::executeAt(std::size_t index)
             req.x.begin() +
                 static_cast<std::ptrdiff_t>(part.row0 + part.numRows));
         const Cycle prev_busy = busyUntil_[part.hctIndex];
-        const Cycle start = std::max(
-            earliest, tileReady(part.hctIndex, *req.pm));
+        const Cycle start =
+            std::max(earliest, tileReady(part.hctIndex, pm));
         auto part_result = chip_.hct(part.hctIndex)
                                .execMvm(sub_x, req.inputBits, start);
         for (std::size_t c = 0; c < part.numCols; ++c)
@@ -283,7 +350,7 @@ Scheduler::executeAt(std::size_t index)
         // issue.
         chip_.hct(part.hctIndex).arbiter().rebase(part_done);
         nextIssue_[part.hctIndex] = start + mvm_cost.amortized;
-        lastUid_[part.hctIndex] = req.pm->uid;
+        lastUid_[part.hctIndex] = pm.uid;
 
         done = std::max(done, part_done);
         result.start = first ? start : std::min(result.start, start);
@@ -326,7 +393,7 @@ Scheduler::executeAt(std::size_t index)
     ++counters_.issued;
     counters_.pipelineHits += pipelined;
     results_.emplace(req.id,
-                     CompletedRequest{std::move(result), req.session});
+                     CompletedRequest{std::move(result), pm.session});
     ++completed_;
 }
 
@@ -337,33 +404,33 @@ Scheduler::wait(const MvmFuture &future, u64 session)
     if (!future.valid())
         throw std::invalid_argument(
             "Scheduler::wait: invalid (default-constructed) future");
-    auto it = results_.find(future.id());
-    if (it == results_.end()) {
-        // Not executed yet: validate once against the queue (ids
-        // never re-enter it), then drain until the result appears.
-        const auto qit = std::find_if(
-            queue_.begin(), queue_.end(),
-            [&](const Request &req) { return req.id == future.id(); });
-        if (qit == queue_.end())
-            throw std::invalid_argument(
-                "Scheduler::wait: future " +
-                std::to_string(future.id()) +
-                " is unknown or was already collected");
-        if (qit->session != session)
-            throw std::invalid_argument(
-                "Scheduler::wait: future " +
-                std::to_string(future.id()) + " belongs to session " +
-                std::to_string(qit->session) + ", not to session " +
-                std::to_string(session));
-        while ((it = results_.find(future.id())) == results_.end())
+    const RequestId id = future.id();
+    if (future.owner_ != this)
+        throw std::invalid_argument(
+            "Scheduler::wait: future " + std::to_string(id) +
+            " was issued by another scheduler");
+    const auto wrong_session = [&](u64 owner) {
+        return std::invalid_argument(
+            "Scheduler::wait: future " + std::to_string(id) +
+            " belongs to session " + std::to_string(owner) +
+            ", not to session " + std::to_string(session));
+    };
+    if (id < nextId_ && doneCycle_[id - 1] == kPendingDone) {
+        // Not executed yet: check the owner once, then drain until
+        // the request executes.
+        const u64 owner = owningRun(id).pm->session;
+        if (owner != session)
+            throw wrong_session(owner);
+        while (doneCycle_[id - 1] == kPendingDone)
             executeAt(pickNext());
     }
-    if (it->second.session != session)
+    const auto it = results_.find(id);
+    if (it == results_.end())
         throw std::invalid_argument(
-            "Scheduler::wait: future " + std::to_string(future.id()) +
-            " belongs to session " +
-            std::to_string(it->second.session) + ", not to session " +
-            std::to_string(session));
+            "Scheduler::wait: future " + std::to_string(id) +
+            " is unknown or was already collected");
+    if (it->second.session != session)
+        throw wrong_session(it->second.session);
     MvmResult result = std::move(it->second.result);
     results_.erase(it);
     return result;
@@ -373,7 +440,7 @@ Cycle
 Scheduler::waitAll()
 {
     SeqLock lock(mu_);
-    while (!queue_.empty())
+    while (!runs_.empty())
         executeAt(pickNext());
     return makespanLocked();
 }
@@ -382,18 +449,11 @@ void
 Scheduler::drainSession(u64 session)
 {
     SeqLock lock(mu_);
-    for (;;) {
-        bool pending = false;
-        for (const auto &req : queue_) {
-            if (req.pm->session == session) {
-                pending = true;
-                break;
-            }
-        }
-        if (!pending)
-            return;
+    const auto of_session = [&](const Run &run) {
+        return run.pm->session == session;
+    };
+    while (std::any_of(runs_.begin(), runs_.end(), of_session))
         executeAt(pickNext());
-    }
 }
 
 void
@@ -412,18 +472,11 @@ void
 Scheduler::drainMatrix(int handle)
 {
     SeqLock lock(mu_);
-    for (;;) {
-        bool pending = false;
-        for (const auto &req : queue_) {
-            if (req.pm->id == handle) {
-                pending = true;
-                break;
-            }
-        }
-        if (!pending)
-            return;
+    const auto of_matrix = [&](const Run &run) {
+        return run.pm->id == handle;
+    };
+    while (std::any_of(runs_.begin(), runs_.end(), of_matrix))
         executeAt(pickNext());
-    }
 }
 
 Cycle

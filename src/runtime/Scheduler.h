@@ -30,6 +30,14 @@
  * (futures exist only after their submit), so the deterministic
  * greedy drain always finds an eligible request.
  *
+ * The queue holds runs, not single requests: a run is consecutive
+ * submissions that share a placement, an `earliest` bound and an
+ * `after` list, stored once, with the requests (id, input, input
+ * bits, oracle cost) in a FIFO. Every member of a run has the same
+ * readiness and the same achievable start, so the greedy drain's
+ * lowest-id tiebreak only ever picks a run's front: a pick costs
+ * O(runs), and a whole-layer stream (one run) issues in O(1).
+ *
  * Functional results are bit-exact and independent of scheduling;
  * only the start/done cycle stamps depend on queue contention.
  */
@@ -172,9 +180,9 @@ class Scheduler
     /**
      * Session-checked resolve: drains the queue (in greedy order)
      * until the request has executed, then returns and releases its
-     * result. Each future can be waited on exactly once, and only by
-     * the session that submitted it (std::invalid_argument
-     * otherwise).
+     * result. Each future can be waited on exactly once, only on the
+     * scheduler that issued it, and only by the session that
+     * submitted it (std::invalid_argument otherwise).
      */
     MvmResult wait(const MvmFuture &future, u64 session)
         EXCLUDES(mu_);
@@ -202,7 +210,7 @@ class Scheduler
     std::size_t pendingCount() const EXCLUDES(mu_)
     {
         SeqLock lock(mu_);
-        return queue_.size();
+        return pending_;
     }
 
     /**
@@ -265,20 +273,40 @@ class Scheduler
     Cycle makespan() const EXCLUDES(mu_);
 
   private:
+    /** End of a slot chain (run FIFO or free list). */
+    static constexpr u32 kNoSlot = ~u32{0};
+
+    /** One queued MVM: what may differ within a run. */
     struct Request
     {
         RequestId id = 0;
-        const PlacedMatrix *pm = nullptr;
         std::vector<i64> x;
         int inputBits = 0;
-        Cycle earliest = 0;
-        /** Captured at submit (the placement may be released before
-         *  the result is collected). */
-        u64 session = 0;
-        /** Requests that must complete before this one starts. */
-        std::vector<RequestId> deps;
+        /** Slot of the next request in the run's FIFO (or of the
+         *  next free slot); kNoSlot ends the chain. */
+        u32 next = kNoSlot;
         /** Oracle latency stamped at submit (see oracleCost()). */
         Cycle oracleCost = 0;
+    };
+
+    /**
+     * Consecutive queued submissions with one placement, `earliest`
+     * bound and `after` list. Runs are in submission order: every id
+     * in a run is below every id in the runs after it.
+     */
+    struct Run
+    {
+        /** Shared placement; its session owns every member. A
+         *  queued request's placement is alive (release drains it
+         *  first), and a placement's session never changes. */
+        const PlacedMatrix *pm = nullptr;
+        Cycle earliest = 0;
+        /** Requests that must complete before any member starts. */
+        std::vector<RequestId> deps;
+        /** FIFO of members, chained through slots_[].next. */
+        u32 head = kNoSlot;
+        u32 tail = kNoSlot;
+        std::size_t size = 0;
     };
 
     struct CompletedRequest
@@ -291,22 +319,30 @@ class Scheduler
     Cycle tileReady(std::size_t hct, const PlacedMatrix &pm) const
         REQUIRES(mu_);
 
-    /** True once every dependency has executed. */
-    bool depsReady(const Request &req) const REQUIRES(mu_);
+    /** True once every dependency of the run has executed. */
+    bool depsReady(const Run &run) const REQUIRES(mu_);
 
     /** Max done cycle over executed dependencies (0 when none). */
-    Cycle depBound(const Request &req) const REQUIRES(mu_);
+    Cycle depBound(const Run &run) const REQUIRES(mu_);
 
     /** Done cycle of an executed request (doneCycle_ decoded). */
     Cycle doneCycleOf(RequestId id) const REQUIRES(mu_);
 
-    /** Earliest start the request could achieve right now. */
-    Cycle achievableStart(const Request &req) const REQUIRES(mu_);
+    /** Earliest start the run's front could achieve right now. */
+    Cycle achievableStart(const Run &run) const REQUIRES(mu_);
 
-    /** Index of the next request to run under drainOrder_. */
+    /** Index of the run whose front runs next under drainOrder_:
+     *  O(runs), never O(requests). */
     std::size_t pickNext() const REQUIRES(mu_);
 
-    /** Execute queue_[index] and record its result. */
+    /** The run holding a queued request (binary search by front). */
+    const Run &owningRun(RequestId id) const REQUIRES(mu_);
+
+    /** Unlink runs_[index]'s front request, erasing the run once it
+     *  empties; the slot goes back to the free list. */
+    Request popFront(std::size_t index) REQUIRES(mu_);
+
+    /** Execute runs_[index]'s front request and record its result. */
     void executeAt(std::size_t index) REQUIRES(mu_);
 
     /** oracleCost() body, for callers already holding the lock. */
@@ -323,7 +359,15 @@ class Scheduler
     /** Mutable per-shape cost cache (oracleCost). */
     KernelModel kernels_ GUARDED_BY(mu_);
     DrainOrder drainOrder_ GUARDED_BY(mu_) = DrainOrder::EarliestStart;
-    std::vector<Request> queue_ GUARDED_BY(mu_);
+    /** The queue: runs in submission order. */
+    std::vector<Run> runs_ GUARDED_BY(mu_);
+    /** Request pool the runs' FIFOs chain through. Freed slots are
+     *  reused, so one-request runs (the serving layer's usual case)
+     *  allocate nothing once the pool covers the deepest queue. */
+    std::vector<Request> slots_ GUARDED_BY(mu_);
+    u32 freeSlot_ GUARDED_BY(mu_) = kNoSlot;
+    /** Queued-but-unexecuted requests over all runs. */
+    std::size_t pending_ GUARDED_BY(mu_) = 0;
     std::map<RequestId, CompletedRequest> results_ GUARDED_BY(mu_);
     std::vector<Cycle> busyUntil_ GUARDED_BY(mu_);
     /** Next same-matrix issue slot per tile (pipelined streaming). */

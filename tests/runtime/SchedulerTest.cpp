@@ -5,11 +5,14 @@
  * and bit-identity between interleaved and sequential execution.
  */
 
+#include <algorithm>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
 #include <gtest/gtest.h>
 
+#include "common/Fnv.h"
 #include "common/Random.h"
 #include "runtime/Runtime.h"
 
@@ -670,6 +673,310 @@ TEST(Scheduler, BacklogCyclesTracksQueuedOracleWork)
     EXPECT_LT(rt.scheduler().backlogCycles(), 3 * oracle);
     session.waitAll();
     EXPECT_EQ(rt.scheduler().backlogCycles(), 0u);
+}
+
+TEST(Scheduler, WaitRejectsForeignSchedulerFutures)
+{
+    // Session ids and request ids are per-Runtime, so both chips'
+    // first sessions are 1 and their first requests share an id. A
+    // future must only resolve on the scheduler that issued it, not
+    // to the local request that happens to share its id.
+    Chip chip_a(smallChip(1)), chip_b(smallChip(1));
+    Runtime rt_a(chip_a), rt_b(chip_b);
+    Session sa = rt_a.createSession();
+    Session sb = rt_b.createSession();
+    ASSERT_EQ(sa.id(), sb.id());
+    const MatrixI m_a = randomMatrix(8, 8, 0, 1, 542);
+    const MatrixI m_b = randomMatrix(8, 8, 0, 1, 543);
+    const MatrixHandle ha = sa.setMatrix(m_a, 1, 0);
+    const MatrixHandle hb = sb.setMatrix(m_b, 1, 0);
+    const std::vector<i64> x(8, 1);
+
+    const MvmFuture fa = sa.submit(ha, x, 1);
+    const MvmFuture fb = sb.submit(hb, x, 1);
+    ASSERT_EQ(fa.id(), fb.id());
+    EXPECT_THROW((void)sb.wait(fa), std::invalid_argument);
+    // The refused wait consumed neither request.
+    EXPECT_EQ(sb.wait(fb).values, reference(m_b, x));
+    EXPECT_EQ(sa.wait(fa).values, reference(m_a, x));
+
+    // Executed-but-uncollected results are guarded the same way.
+    const MvmFuture fa2 = sa.submit(ha, x, 1);
+    const MvmFuture fb2 = sb.submit(hb, x, 1);
+    sa.waitAll();
+    sb.waitAll();
+    EXPECT_THROW((void)sb.wait(fa2), std::invalid_argument);
+    EXPECT_EQ(sb.wait(fb2).values, reference(m_b, x));
+    EXPECT_EQ(sa.wait(fa2).values, reference(m_a, x));
+}
+
+TEST(Scheduler, QueueBookkeepingIsExactAcrossRuns)
+{
+    // Six runs over four placements with `earliest` bounds far apart,
+    // so the greedy order is known: after every submit, wait and
+    // drain, the queue counters must count exactly the requests still
+    // queued.
+    Chip chip(smallChip(4));
+    Runtime rt(chip);
+    Scheduler &sched = rt.scheduler();
+    Session a = rt.createSession();
+    std::optional<Session> b(rt.createSession());
+    const u64 a_id = a.id();
+    const u64 b_id = b->id();
+    const MatrixHandle a0 =
+        a.setMatrix(randomMatrix(8, 8, 0, 1, 560), 1, 0);
+    const MatrixHandle a1 =
+        a.setMatrix(randomMatrix(8, 8, 0, 1, 561), 1, 0);
+    const MatrixHandle b0 =
+        b->setMatrix(randomMatrix(8, 8, 0, 1, 562), 1, 0);
+    const MatrixHandle b1 =
+        b->setMatrix(randomMatrix(8, 8, 0, 1, 563), 1, 0);
+    const std::vector<i64> x(8, 1);
+    const Cycle cost = sched.oracleCost(a0.plan(), 1);
+    const Cycle gap = 100 * cost;
+
+    const auto expect_queued = [&](std::size_t in_a, std::size_t in_b,
+                                   const char *when) {
+        SCOPED_TRACE(when);
+        EXPECT_EQ(sched.pendingCount(), in_a + in_b);
+        EXPECT_EQ(sched.pendingRequests(a_id), in_a);
+        EXPECT_EQ(sched.pendingRequests(b_id), in_b);
+        EXPECT_EQ(sched.backlogCycles(), (in_a + in_b) * cost);
+    };
+
+    std::vector<MvmFuture> fa, fb;
+    for (int i = 0; i < 3; ++i) {
+        fa.push_back(a.submit(a0, x, 1, 3 * gap));
+        expect_queued(fa.size(), 0, "run 1: a0 at 3 gaps");
+    }
+    for (int i = 0; i < 2; ++i) {
+        fb.push_back(b->submit(b0, x, 1));
+        expect_queued(3, fb.size(), "run 2: b0 at 0");
+    }
+    for (int i = 0; i < 2; ++i) {
+        fa.push_back(a.submit(a1, x, 1, gap));
+        expect_queued(fa.size(), 2, "run 3: a1 at 1 gap");
+    }
+    for (int i = 0; i < 2; ++i) {
+        fb.push_back(b->submit(b1, x, 1, 2 * gap));
+        expect_queued(5, fb.size(), "run 4: b1 at 2 gaps");
+    }
+    // Run 4's placement and bound, but a dependency: run 5.
+    fb.push_back(b->submit(b1, x, 1, 2 * gap, {fb[0]}));
+    expect_queued(5, 5, "run 5: b1 at 2 gaps after fb[0]");
+
+    // fa[3] is the front of the middle run: the wrong session is
+    // refused before anything executes.
+    EXPECT_THROW((void)b->wait(fa[3]), std::invalid_argument);
+    expect_queued(5, 5, "refused wait");
+
+    // Greedy order: run 2 (start 0), then run 3 (start 1 gap) up to
+    // fa[4]; run 5's dependency is met on the way.
+    EXPECT_GE(a.wait(fa[4]).start, gap);
+    expect_queued(3, 3, "wait fa[4]");
+    EXPECT_EQ(sched.uncollectedCount(), 3u);
+    EXPECT_THROW((void)a.wait(fa[4]), std::invalid_argument);
+    expect_queued(3, 3, "wait on a collected future");
+
+    // Run 1's placement and bound, but run 5 is the back: run 6.
+    fa.push_back(a.submit(a0, x, 1, 3 * gap));
+    expect_queued(4, 3, "run 6: a0 at 3 gaps");
+
+    // Runs 4 and 5 start at 2 gaps; runs 1 and 6 stay queued.
+    sched.drainMatrix(b1.id());
+    expect_queued(4, 0, "drain b1");
+    EXPECT_THROW((void)b->wait(fa[2]), std::invalid_argument);
+
+    // Run 1's front wins each tie with run 6 (same placement, same
+    // bound): waiting fa[1] issues fa[0] and fa[1] only.
+    (void)a.wait(fa[1]);
+    expect_queued(2, 0, "wait fa[1]");
+    EXPECT_EQ(sched.uncollectedCount(), 7u);
+
+    // Teardown drops B's five uncollected results.
+    b.reset();
+    EXPECT_EQ(sched.uncollectedCount(), 2u);
+    expect_queued(2, 0, "teardown of session B");
+    a.waitAll();
+    expect_queued(0, 0, "wait all of session A");
+    EXPECT_EQ(sched.completedCount(), 11u);
+
+    // A never-submitted id: a future that outlived its scheduler,
+    // offered to a replacement built in the same storage.
+    Chip other_chip(smallChip(1));
+    std::optional<Runtime> other(std::in_place, other_chip);
+    MvmFuture stale;
+    {
+        Session s = other->createSession();
+        const MatrixHandle h =
+            s.setMatrix(randomMatrix(8, 8, 0, 1, 564), 1, 0);
+        for (int i = 0; i < 3; ++i)
+            stale = s.submit(h, x, 1);
+    }
+    other.emplace(other_chip);
+    Session fresh = other->createSession();
+    EXPECT_THROW((void)fresh.wait(stale), std::invalid_argument);
+}
+
+TEST(Scheduler, RunQueueKeepsTheGreedyDrainOrder)
+{
+    // A seeded stream of submits and shuffled waits over four
+    // placements (one row-split; two sharing a tile) and two
+    // sessions, with one matrix drain and one session teardown
+    // mid-stream. `earliest` is drawn from a few offsets past the
+    // makespan, so consecutive submits both join and split runs, and
+    // `after` names pending, executed and collected requests. Every
+    // result and the counters fold into one hash: the constant is
+    // the one a request-at-a-time greedy scan produces.
+    Chip chip(smallChip(6));
+    Runtime rt(chip);
+    Scheduler &sched = rt.scheduler();
+    Session a = rt.createSession();
+    std::optional<Session> b(rt.createSession());
+    const MatrixHandle a_small =
+        a.setMatrix(randomMatrix(8, 8, -1, 1, 570), 2, 0);
+    const MatrixHandle a_tall =
+        a.setMatrix(randomMatrix(40, 8, -1, 1, 571), 2, 0);
+    ASSERT_TRUE(a_tall.plan().rowSplit);
+    std::optional<MatrixHandle> b_small(
+        b->setMatrix(randomMatrix(8, 8, -1, 1, 572), 2, 0));
+    // b_small's weights placed again on its tile under another uid:
+    // the two contend for the tile without chaining streams.
+    PlacedMatrix alias;
+    alias.matrix = b_small->matrix();
+    alias.plan = b_small->plan();
+    alias.session = b->id();
+    alias.id = 1000;
+    alias.uid = 1000;
+
+    struct Target
+    {
+        Session *owner = nullptr;
+        /** Null for the alias, which is submitted directly. */
+        const MatrixHandle *handle = nullptr;
+        const MatrixI *weights = nullptr;
+    };
+    std::vector<Target> targets = {
+        {&a, &a_small, &a_small.matrix()},
+        {&a, &a_tall, &a_tall.matrix()},
+        {&*b, &*b_small, &b_small->matrix()},
+        {&*b, nullptr, &alias.matrix},
+    };
+    struct Outstanding
+    {
+        MvmFuture future;
+        u64 session = 0;
+        const MatrixI *weights = nullptr;
+        std::vector<i64> x;
+    };
+    std::vector<Outstanding> outstanding;
+    std::vector<MvmFuture> issued;
+    std::optional<Session> c;
+    std::optional<MatrixHandle> c_small;
+
+    u64 hash = kFnvOffsetBasis;
+    const auto fold = [&](u64 word) { hash = fnv1aWord(word, hash); };
+    const auto collect = [&](std::size_t i) {
+        const Outstanding o = outstanding[i];
+        outstanding.erase(outstanding.begin() +
+                          static_cast<std::ptrdiff_t>(i));
+        const MvmResult r = sched.wait(o.future, o.session);
+        EXPECT_EQ(r.values, reference(*o.weights, o.x))
+            << "request " << o.future.id();
+        fold(o.future.id());
+        fold(r.start);
+        fold(r.done);
+        for (i64 v : r.values)
+            fold(static_cast<u64>(v));
+    };
+
+    Rng rng(573);
+    const Cycle offsets[] = {0, 0, 300, 1500};
+    std::size_t key_target = 0;
+    Cycle key_earliest = 0;
+    std::vector<MvmFuture> key_after;
+    bool new_key = true;
+    for (int step = 0; step < 400; ++step) {
+        if (step == 150)
+            sched.drainMatrix(a_tall.id());
+        if (step == 250) {
+            // Session B leaves with work queued: its requests execute,
+            // its uncollected results are dropped, and its tile goes
+            // to a new session C.
+            const u64 b_id = b->id();
+            b.reset();
+            for (const Outstanding &o : outstanding) {
+                if (o.session == b_id) {
+                    EXPECT_THROW((void)sched.wait(o.future, b_id),
+                                 std::invalid_argument);
+                }
+            }
+            outstanding.erase(
+                std::remove_if(outstanding.begin(), outstanding.end(),
+                               [&](const Outstanding &o) {
+                                   return o.session == b_id;
+                               }),
+                outstanding.end());
+            b_small.reset();
+            c.emplace(rt.createSession());
+            c_small.emplace(
+                c->setMatrix(randomMatrix(8, 8, -1, 1, 574), 2, 0));
+            targets = {targets[0], targets[1],
+                       {&*c, &*c_small, &c_small->matrix()}};
+            new_key = true;
+        }
+        if (rng.uniformInt(u64{100}) < 55) {
+            if (new_key || rng.uniformInt(u64{2}) == 0) {
+                key_target = rng.uniformInt(targets.size());
+                key_earliest = sched.makespan() +
+                               offsets[rng.uniformInt(u64{4})];
+                key_after.clear();
+                const u64 deps =
+                    issued.empty() ? 0 : rng.uniformInt(u64{3});
+                for (u64 d = 0; d < deps; ++d) {
+                    // Mostly recent (often still queued) requests.
+                    const u64 window =
+                        rng.uniformInt(u64{2}) == 0
+                            ? std::min<u64>(issued.size(), 6)
+                            : issued.size();
+                    key_after.push_back(
+                        issued[issued.size() - 1 -
+                               rng.uniformInt(window)]);
+                }
+                new_key = false;
+            }
+            const Target &t = targets[key_target];
+            const int bits = 2 + static_cast<int>(rng.uniformInt(u64{2}));
+            const i64 half = i64{1} << (bits - 1);
+            std::vector<i64> x(t.weights->rows());
+            for (auto &v : x)
+                v = rng.uniformInt(-half, half - 1);
+            const MvmFuture f =
+                t.handle != nullptr
+                    ? t.owner->submit(*t.handle, x, bits, key_earliest,
+                                      key_after)
+                    : sched.submit(alias, x, bits, key_earliest,
+                                   key_after);
+            issued.push_back(f);
+            outstanding.push_back({f, t.owner->id(), t.weights, x});
+        } else if (!outstanding.empty()) {
+            collect(rng.uniformInt(outstanding.size()));
+        }
+    }
+    sched.waitAll();
+    while (!outstanding.empty())
+        collect(0);
+
+    const SchedulerCounters counters = sched.counters();
+    fold(counters.issued);
+    fold(counters.pipelineHits);
+    fold(counters.dependencyStalls);
+    fold(sched.completedCount());
+    fold(sched.makespan());
+    fold(sched.pendingCount());
+    fold(sched.backlogCycles());
+    fold(sched.uncollectedCount());
+    EXPECT_EQ(hash, 0xf21f89b5d305f862ULL);
 }
 
 } // namespace

@@ -79,7 +79,7 @@
  *  8. fleet        — fleet lifecycle at wall-clock scale: a 64-chip
  *                    mixed frequency-bin pool (32 SAR @ 1 GHz +
  *                    32 ramp @ 2 GHz) serves a long diurnal churn
- *                    trace through a FleetController (lazy
+ *                    trace as a fleet-mode run (lazy
  *                    placements at tenant arrival, reclaim after
  *                    departure drains, backlog-driven live
  *                    migration, load-hysteresis autoscaling).
@@ -387,7 +387,6 @@ runScalingCell(std::size_t chips, std::size_t tenant_count,
         spec.ratePerKns = ratePerKns(WorkloadKind::Cnn, load);
         specs.push_back(spec);
     }
-    auto tenants = buildTenants(pool, gen, specs);
     AdmissionConfig cfg;
     cfg.queueDepth = kScalingWindowDepth;
     // Block + round-robin: every freed slot is refilled immediately
@@ -396,7 +395,7 @@ runScalingCell(std::size_t chips, std::size_t tenant_count,
     cfg.overflow = OverflowPolicy::Block;
     cfg.qos = QosPolicy::RoundRobin;
     cfg.threads = g_threads;
-    AdmissionController ac(pool, tenants, cfg);
+    AdmissionController ac(pool, gen, specs, cfg);
     const ServeReport report = ac.run(gen.trace(specs, horizon));
 
     const double throughput = report.throughputPerKns();
@@ -453,13 +452,12 @@ runQosSweep(Cycle horizon)
         pool_cfg.chip = serveChip(3);   // one shared chip
         pool_cfg.numChips = 1;
         ChipPool pool(pool_cfg);
-        auto tenants = buildTenants(pool, gen, specs);
         AdmissionConfig cfg;
         cfg.queueDepth = 2;
         cfg.qos = qos;
         cfg.overflow = OverflowPolicy::Block;
         cfg.threads = g_threads;
-        AdmissionController ac(pool, tenants, cfg);
+        AdmissionController ac(pool, gen, specs, cfg);
         const ServeReport report = ac.run(gen.trace(specs, horizon));
 
         std::printf("    %s{\"policy\": \"%s\", "
@@ -505,12 +503,11 @@ runBackpressureSweep(Cycle horizon)
             specs[i].ratePerKns =
                 ratePerKns(WorkloadKind::Cnn, 2.0);
         }
-        auto tenants = buildTenants(pool, gen, specs);
         AdmissionConfig cfg;
         cfg.queueDepth = depth;
         cfg.overflow = OverflowPolicy::Reject;
         cfg.threads = g_threads;
-        AdmissionController ac(pool, tenants, cfg);
+        AdmissionController ac(pool, gen, specs, cfg);
         // The aggregate p95 below pools every exact sample across
         // tenants, which the run journal holds.
         journal::Journal jr;
@@ -574,14 +571,14 @@ runInferenceSweep(Cycle horizon)
     specs[1].weight = 1.0;
     specs[1].ratePerKns = 0.03;
 
-    auto tenants = buildTenants(pool, gen, specs);
     AdmissionConfig cfg;
     cfg.queueDepth = 2;
     cfg.qos = QosPolicy::WeightedFair;
     cfg.overflow = OverflowPolicy::Block;
     cfg.threads = g_threads;
-    AdmissionController ac(pool, tenants, cfg);
+    AdmissionController ac(pool, gen, specs, cfg);
     const ServeReport report = ac.run(gen.trace(specs, horizon));
+    const std::vector<Tenant> &tenants = ac.tenants();
 
     std::printf("    {\"nominal_cycles\": {\"cnn_infer\": %llu, "
                 "\"llm_infer\": %llu},\n     \"classes\": [\n",
@@ -677,7 +674,6 @@ runHeteroCell(const char *pool_name,
     pool_cfg.placement = policy;
     ChipPool pool(pool_cfg);
 
-    auto tenants = buildTenants(pool, gen, specs);
     AdmissionConfig cfg;
     // Per-chip ingest window scaled to the chip's tile count: a
     // bigger chip carries a bigger front end.
@@ -688,7 +684,7 @@ runHeteroCell(const char *pool_name,
     cfg.qos = QosPolicy::RoundRobin;
     cfg.overflow = OverflowPolicy::Block;
     cfg.threads = g_threads;
-    AdmissionController ac(pool, tenants, cfg);
+    AdmissionController ac(pool, gen, specs, cfg);
     const ServeReport report = ac.run(gen.trace(specs, horizon));
 
     std::printf("    %s{\"pool\": \"%s\", \"policy\": \"%s\", "
@@ -777,7 +773,6 @@ runStageLevelCell(Granularity granularity, Cycle horizon,
     ChipPool pool(pool_cfg);
 
     const auto specs = stageLevelSpecs();
-    auto tenants = buildTenants(pool, gen, specs);
     AdmissionConfig cfg;
     // A tight window is where granularity matters: one admitted
     // whole inference monopolizes it for its full graph span.
@@ -786,7 +781,7 @@ runStageLevelCell(Granularity granularity, Cycle horizon,
     cfg.overflow = OverflowPolicy::Block;
     cfg.granularity = granularity;
     cfg.threads = g_threads;
-    AdmissionController ac(pool, tenants, cfg);
+    AdmissionController ac(pool, gen, specs, cfg);
     // The percentiles below, the aggregate p95 over every class
     // included, are exact: they summarize the run journal's samples.
     journal::Journal jr;
@@ -940,7 +935,7 @@ runJournalCell(Cycle horizon)
 // ---------------------------------------------------------------------------
 // Experiment 8: fleet lifecycle at wall-clock scale. A 64-chip mixed
 // frequency-bin pool (32 SAR @ 1 GHz + 32 ramp @ 2 GHz) serves a
-// long diurnal trace with tenant churn while the FleetController
+// long diurnal trace with tenant churn while the fleet lifecycle
 // live-migrates placements and autoscales chips up and down. The
 // self-checks are the serving layer's lifecycle contract: outputs
 // bit-identical to a fleet-off run of the same trace, replay

@@ -80,7 +80,7 @@ namespace journal
  *                   values={rate bits, burst on, burst off, SLO
  *                   latency target, SLO availability bits,
  *                   arriveNs, departNs}.
- *   FleetSetup      present when the run had a FleetController:
+ *   FleetSetup      present for a fleet-mode run (FleetConfig):
  *                   a=migration flag, b=autoscale flag, c=minActive,
  *                   d=checkIntervalNs; values={backlogHighNs,
  *                   backlogLowNs, migrateHighNs}.

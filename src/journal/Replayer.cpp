@@ -1,7 +1,7 @@
 #include "journal/Replayer.h"
 
 #include <algorithm>
-#include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -153,10 +153,11 @@ emitHeaderRecords(const ServeRunSetup &setup,
 /**
  * Drive setup's scenario once with `jr` attached, in the canonical
  * record order every recording and replay path produces: header
- * records (emitHeaderRecords), then the Placement records
- * buildTenants emits, TraceBegin announcing `traceBeginCount` (the
- * request count, or kStreamedTraceCount for a pull-based recording),
- * and the run itself, pulled from `source`.
+ * records (emitHeaderRecords), then the Placement records the
+ * AdmissionController emits as it is constructed, TraceBegin
+ * announcing `traceBeginCount` (the request count, or
+ * kStreamedTraceCount for a pull-based recording), and the run
+ * itself, pulled from `source`.
  */
 serve::ServeReport
 driveRun(const ServeRunSetup &setup, serve::RequestSource &source,
@@ -166,22 +167,14 @@ driveRun(const ServeRunSetup &setup, serve::RequestSource &source,
     emitHeaderRecords(setup, pool, jr);
 
     pool.setJournal(&jr);
-    serve::TrafficGen gen(setup.trafficSeed);
-    // Both construction paths emit their eager Placement records
-    // here, before TraceBegin (fleet tenants with arriveNs > 0
-    // place lazily during the run, after it).
-    std::unique_ptr<serve::FleetController> fleet;
-    std::unique_ptr<serve::AdmissionController> ctrl;
-    if (setup.fleet) {
-        fleet = std::make_unique<serve::FleetController>(
-            pool, gen, setup.tenants, setup.fleetCfg);
-        ctrl = std::make_unique<serve::AdmissionController>(
-            pool, *fleet, setup.admission);
-    } else {
-        ctrl = std::make_unique<serve::AdmissionController>(
-            pool, serve::buildTenants(pool, gen, setup.tenants),
-            setup.admission);
-    }
+    // The controller emits its eager Placement records here, before
+    // TraceBegin (fleet tenants with arriveNs > 0 place lazily during
+    // the run, after it).
+    serve::AdmissionController ctrl(
+        pool, serve::TrafficGen(setup.trafficSeed), setup.tenants,
+        setup.admission,
+        setup.fleet ? std::optional<serve::FleetConfig>(setup.fleetCfg)
+                    : std::nullopt);
 
     {
         JournalEvent e;
@@ -190,9 +183,9 @@ driveRun(const ServeRunSetup &setup, serve::RequestSource &source,
         jr.append(std::move(e));
     }
 
-    ctrl->setJournal(&jr);
-    serve::ServeReport report = ctrl->runStream(source);
-    ctrl->setJournal(nullptr);
+    ctrl.setJournal(&jr);
+    serve::ServeReport report = ctrl.runStream(source);
+    ctrl.setJournal(nullptr);
     pool.setJournal(nullptr);
     return report;
 }
@@ -340,7 +333,7 @@ parseHeaderRecords(const std::vector<JournalEvent> &ev,
             static_cast<WallNs>(e.values[2]);
     }
 
-    // The Placement records buildTenants emitted sit between the
+    // The Placement records the controller emitted sit between the
     // tenant table and trace_begin; they are re-derived on replay,
     // not inputs, so skip to the trace.
     while (i < ev.size() && ev[i].kind == EventKind::Placement)

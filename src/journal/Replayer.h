@@ -40,7 +40,6 @@
 #include "journal/Journal.h"
 #include "serve/Admission.h"
 #include "serve/ChipPool.h"
-#include "serve/FleetController.h"
 #include "serve/ServeStats.h"
 #include "serve/TrafficGen.h"
 
@@ -117,8 +116,8 @@ struct ServeRunSetup
 
     serve::AdmissionConfig admission;
 
-    /** True when the run was driven through a FleetController
-     *  (tenant churn, live migration, autoscaling). */
+    /** True for a fleet-mode run (tenant churn, live migration,
+     *  autoscaling under `fleetCfg`). */
     bool fleet = false;
     serve::FleetConfig fleetCfg;
 

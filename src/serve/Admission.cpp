@@ -1,7 +1,6 @@
 #include "serve/Admission.h"
 
 #include <algorithm>
-#include <cmath>
 #include <deque>
 #include <functional>
 #include <limits>
@@ -17,7 +16,6 @@
 #include "common/Logging.h"
 #include "common/WorkerPool.h"
 #include "journal/Journal.h"
-#include "serve/FleetController.h"
 
 namespace darth
 {
@@ -71,27 +69,6 @@ tenantModel(const TrafficGen &gen, const TenantSpec &spec,
                            TrafficGen::bitsPerCell(spec.kind),
                            TrafficGen::inputBits(spec.kind)};
     }
-}
-
-std::vector<Tenant>
-buildTenants(ChipPool &pool, const TrafficGen &gen,
-             const std::vector<TenantSpec> &specs)
-{
-    std::vector<Tenant> tenants;
-    tenants.reserve(specs.size());
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-        const TenantSpec &spec = specs[i];
-        TrafficGen::validateSpec(spec);
-        Tenant tenant;
-        tenant.name = spec.name;
-        tenant.weight = spec.weight;
-        tenant.model =
-            pool.place(spec.modelKey, tenantModel(gen, spec, i));
-        tenant.inputBits = TrafficGen::inputBits(spec.kind);
-        tenant.slo = spec.slo;
-        tenants.push_back(std::move(tenant));
-    }
-    return tenants;
 }
 
 namespace
@@ -489,7 +466,8 @@ class WaitingRoom
 // ---- Fleet timeline. ----
 
 /**
- * The lifecycle of a fleet-mode run: the specs' arrive/depart
+ * The lifecycle of a fleet-mode run, policy and mechanism both (see
+ * docs/serving.md, "Fleet lifecycle"): the specs' arrive/depart
  * moments and the controller's ticks, merged into one timeline the
  * driver advances to each request's arrival before binding it — at
  * equal instants arrivals precede departures precede ticks, and all
@@ -497,24 +475,44 @@ class WaitingRoom
  * also owns the deferred release of replaced placements: a placement
  * that migration or departure retired is reclaimed only once every
  * request bound to it has finished, so begun work always completes
- * where it began.
+ * where it began. Every decision is a function of the pool's state
+ * and the tick's load snapshot, so a journaled run replays bit-exact.
  */
 class FleetTimeline
 {
   public:
+    /** Throws std::invalid_argument on a config no run can use. */
+    static void
+    check(const FleetConfig &cfg)
+    {
+        if (cfg.checkIntervalNs == 0)
+            throw std::invalid_argument(
+                "AdmissionController: checkIntervalNs must be positive");
+        if (cfg.minActive == 0)
+            throw std::invalid_argument(
+                "AdmissionController: minActive must be at least 1 (a "
+                "fleet cannot drain to zero chips)");
+        if (cfg.autoscale && cfg.backlogLowNs >= cfg.backlogHighNs)
+            throw std::invalid_argument(
+                "AdmissionController: backlogLowNs (" +
+                std::to_string(cfg.backlogLowNs) +
+                ") must be below backlogHighNs (" +
+                std::to_string(cfg.backlogHighNs) +
+                "); the gap is the autoscaler's hysteresis band");
+    }
+
     /** `settle` materializes every chip's admitted units, so a tick
      *  reads exact chip makespans. */
-    FleetTimeline(FleetController &fleet, ChipPool &pool,
+    FleetTimeline(const FleetConfig &cfg, const TrafficGen &gen,
+                  const std::vector<TenantSpec> &specs, ChipPool &pool,
                   std::vector<Tenant> &tenants, ServeReport &report,
                   JournalEmitter &journal, std::function<void()> settle)
-        : fleet_(fleet), pool_(pool), tenants_(tenants),
-          report_(report), journal_(journal),
-          settle_(std::move(settle)),
-          nextTick_(fleet.config().checkIntervalNs),
+        : cfg_(cfg), gen_(gen), specs_(specs), pool_(pool),
+          tenants_(tenants), report_(report), journal_(journal),
+          settle_(std::move(settle)), nextTick_(cfg.checkIntervalNs),
           departed_(tenants.size(), false),
           draining_(pool.numChips(), false)
     {
-        const std::vector<TenantSpec> &specs = fleet.specs();
         for (std::size_t t = 0; t < specs.size(); ++t) {
             if (specs[t].arriveNs > 0)
                 moments_.push_back({specs[t].arriveNs, 0, t});
@@ -557,7 +555,7 @@ class FleetTimeline
                     depart(m.tenant, m.at);
             } else {
                 tick(nextTick_);
-                nextTick_ += fleet_.config().checkIntervalNs;
+                nextTick_ += cfg_.checkIntervalNs;
             }
         }
     }
@@ -663,24 +661,47 @@ class FleetTimeline
             finalize(m, at);
     }
 
-    /** A tenant arrives: create its placement now (reactivating
-     *  drained slots if the active pool cannot fit it). */
+    /** A tenant's model, regenerated bit-identically from its spec. */
+    ServedModel
+    model(std::size_t t) const
+    {
+        return tenantModel(gen_, specs_[t], t);
+    }
+
+    /** A tenant arrives: create its placement now. An arriving tenant
+     *  outranks autoscaling: when the active slots cannot fit it,
+     *  drained slots reactivate (lowest index first, each journaled as
+     *  an emergency ChipUp after the placement) until it fits; one
+     *  that fits nowhere even then fails with the per-chip diagnosis a
+     *  static pool would give. */
     void
     arrive(std::size_t t, WallNs at)
     {
         if (tenants_[t].model != kNoModel)
             return;
-        FleetController::Placement placed = fleet_.placeTenant(t);
-        for (const std::size_t c : placed.activated) {
+        const u64 key = specs_[t].modelKey;
+        ModelRef placed = pool_.tryPlace(key, model(t));
+        std::vector<std::size_t> activated;
+        for (std::size_t c = 0;
+             placed == kNoModel && c < pool_.numChips(); ++c) {
+            if (pool_.chipActive(c))
+                continue;
+            pool_.setChipActive(c, true);
+            activated.push_back(c);
+            placed = pool_.tryPlace(key, model(t));
+        }
+        if (placed == kNoModel)
+            placed = pool_.place(key, model(t));
+        for (const std::size_t c : activated) {
             draining_[c] = false;
             report_.fleet.chipUps += 1;
             emit(journal::EventKind::ChipUp, at, c, /*emergency=*/1, 0, 0);
         }
-        tenants_[t].model = placed.model;
-        modelTenants_[placed.model] += 1;
+        tenants_[t].model = placed;
+        modelTenants_[placed] += 1;
         report_.fleet.arrivals += 1;
-        emit(journal::EventKind::TenantArrive, at, t, placed.model,
-             pool_.modelChip(placed.model), 0);
+        emit(journal::EventKind::TenantArrive, at, t, placed,
+             pool_.modelChip(placed), 0);
     }
 
     /** A tenant departs: it stops owning its placement, which is
@@ -741,7 +762,9 @@ class FleetTimeline
         if (first_tenant == tenants_.size())
             darth_panic("AdmissionController: model ", victim,
                         " has owners but no live tenant");
-        const ModelRef fresh = fleet_.tryReplace(first_tenant, src);
+        const ModelRef fresh =
+            pool_.tryPlace(specs_[first_tenant].modelKey,
+                           model(first_tenant), src);
         if (fresh == kNoModel) {
             // Nowhere else to go: the old placement keeps serving.
             report_.fleet.migrationsAborted += 1;
@@ -765,8 +788,10 @@ class FleetTimeline
         retire(victim, info, at);
     }
 
-    /** One controller tick: refresh the wall-clock load signal and
-     *  execute the fleet's plan for this instant. */
+    /** One controller tick: refresh the wall-clock load signal, then
+     *  decide and apply this instant's scaling and migration. Every
+     *  decision reads the slot state from before the tick's first
+     *  action. */
     void
     tick(WallNs at)
     {
@@ -778,31 +803,102 @@ class FleetTimeline
                 c, pool_.runtime(c).scheduler().makespan());
             loads[c] = mk > at ? mk - at : 0;
         }
-        const FleetController::TickPlan plan =
-            fleet_.planTick(at, loads, draining_);
-        if (plan.scaleUp != kNoChip) {
-            pool_.setChipActive(plan.scaleUp, true);
-            draining_[plan.scaleUp] = false;
-            report_.fleet.chipUps += 1;
-            emit(journal::EventKind::ChipUp, at, plan.scaleUp, 0, 0, 0);
-        }
-        if (plan.scaleDown != kNoChip) {
-            pool_.setChipActive(plan.scaleDown, false);
-            if (pool_.liveModels(plan.scaleDown) == 0) {
-                report_.fleet.chipDowns += 1;
-                emit(journal::EventKind::ChipDown, at, plan.scaleDown, 0,
-                     0, 0);
-            } else {
-                // Stops accepting placements now; counts as down once
-                // migration empties it.
-                draining_[plan.scaleDown] = true;
-            }
-        }
-        if (plan.migrateFrom != kNoChip)
-            migrateOneFrom(plan.migrateFrom, at);
+        const std::size_t migrate_from = migrationSource(loads);
+        if (cfg_.autoscale)
+            autoscale(loads, at);
+        if (migrate_from != kNoChip)
+            migrateOneFrom(migrate_from, at);
     }
 
-    FleetController &fleet_;
+    /** The chip that sheds one tenant this tick, or kNoChip. */
+    std::size_t
+    migrationSource(const std::vector<WallNs> &loads) const
+    {
+        // A draining chip still holding placements sheds one of them
+        // before any other migration — finishing a scale-down beats
+        // starting new work.
+        for (std::size_t c = 0; c < loads.size(); ++c)
+            if (draining_[c] && pool_.liveModels(c) > 0)
+                return c;
+        if (!cfg_.migration)
+            return kNoChip;
+        // Load balancing: the most backlogged active chip sheds one
+        // tenant when it is past the migration threshold and at
+        // least twice the least backlogged chip (the factor keeps a
+        // uniformly saturated fleet from shuffling tenants for no
+        // gain). Ties break to the lowest index on both ends.
+        std::size_t max_c = kNoChip, min_c = kNoChip;
+        for (std::size_t c = 0; c < loads.size(); ++c) {
+            if (!pool_.chipActive(c) || draining_[c])
+                continue;
+            if (max_c == kNoChip || loads[c] > loads[max_c])
+                max_c = c;
+            if (min_c == kNoChip || loads[c] < loads[min_c])
+                min_c = c;
+        }
+        if (max_c != kNoChip && max_c != min_c &&
+            loads[max_c] > cfg_.migrateHighNs &&
+            loads[max_c] > 2 * loads[min_c] &&
+            pool_.liveModels(max_c) > 0)
+            return max_c;
+        return kNoChip;
+    }
+
+    /** Load hysteresis: any active chip past backlogHighNs
+     *  reactivates the lowest-index inactive slot; every active chip
+     *  under backlogLowNs, with more than minActive active and none
+     *  draining, drains the highest-index active slot. */
+    void
+    autoscale(const std::vector<WallNs> &loads, WallNs at)
+    {
+        const std::size_t n = loads.size();
+        std::size_t active_count = 0;
+        bool any_high = false, all_low = true, any_draining = false;
+        for (std::size_t c = 0; c < n; ++c) {
+            if (draining_[c])
+                any_draining = true;
+            if (!pool_.chipActive(c))
+                continue;
+            active_count += 1;
+            if (loads[c] > cfg_.backlogHighNs)
+                any_high = true;
+            if (loads[c] >= cfg_.backlogLowNs)
+                all_low = false;
+        }
+        if (any_high) {
+            for (std::size_t c = 0; c < n; ++c)
+                if (!pool_.chipActive(c)) {
+                    pool_.setChipActive(c, true);
+                    draining_[c] = false;
+                    report_.fleet.chipUps += 1;
+                    emit(journal::EventKind::ChipUp, at, c, 0, 0, 0);
+                    return;
+                }
+        } else if (all_low && !any_draining &&
+                   active_count > cfg_.minActive) {
+            // One drain at a time: a slot must finish emptying before
+            // the next starts, so a burst's end cannot cascade the
+            // fleet away.
+            for (std::size_t c = n; c-- > 0;)
+                if (pool_.chipActive(c)) {
+                    pool_.setChipActive(c, false);
+                    if (pool_.liveModels(c) == 0) {
+                        report_.fleet.chipDowns += 1;
+                        emit(journal::EventKind::ChipDown, at, c, 0, 0,
+                             0);
+                    } else {
+                        // Stops accepting placements now; counts as
+                        // down once migration empties it.
+                        draining_[c] = true;
+                    }
+                    return;
+                }
+        }
+    }
+
+    const FleetConfig &cfg_;
+    const TrafficGen &gen_;
+    const std::vector<TenantSpec> &specs_;
     ChipPool &pool_;
     std::vector<Tenant> &tenants_;
     ServeReport &report_;
@@ -840,9 +936,12 @@ class ServeEngine
     ServeEngine(const ServeEngine &) = delete;
     ServeEngine &operator=(const ServeEngine &) = delete;
 
+    /** `fleet` (nullptr for a static run), `gen` and `specs` drive
+     *  the fleet timeline. */
     ServeEngine(ChipPool &pool, std::vector<Tenant> &tenants,
                 const AdmissionConfig &cfg, journal::Journal *jr,
-                FleetController *fleet)
+                const FleetConfig *fleet, const TrafficGen &gen,
+                const std::vector<TenantSpec> &specs)
         : pool_(pool), tenants_(tenants), cfg_(cfg),
           staged_(cfg.granularity == Granularity::Stage),
           batched_(fleet == nullptr && cfg.threads > 1),
@@ -873,7 +972,8 @@ class ServeEngine
         }
         if (fleet != nullptr)
             timeline_ = std::make_unique<FleetTimeline>(
-                *fleet, pool, tenants, report_, journal_, [this] {
+                *fleet, gen, specs, pool, tenants, report_, journal_,
+                [this] {
                     for (std::size_t c = 0; c < windows_.size(); ++c)
                         materializeAll(c);
                 });
@@ -1338,10 +1438,12 @@ class ServeEngine
 
 } // namespace
 
-AdmissionController::AdmissionController(ChipPool &pool,
-                                         std::vector<Tenant> tenants,
-                                         const AdmissionConfig &cfg)
-    : pool_(pool), tenants_(std::move(tenants)), cfg_(cfg)
+AdmissionController::AdmissionController(ChipPool &pool, TrafficGen gen,
+                                         std::vector<TenantSpec> specs,
+                                         const AdmissionConfig &cfg,
+                                         std::optional<FleetConfig> fleet)
+    : pool_(pool), gen_(gen), specs_(std::move(specs)),
+      fleetCfg_(std::move(fleet)), cfg_(cfg)
 {
     if (cfg.queueDepth == 0)
         throw std::invalid_argument(
@@ -1359,38 +1461,36 @@ AdmissionController::AdmissionController(ChipPool &pool,
                     "AdmissionController: chipQueueDepth[" +
                     std::to_string(c) + "] must be at least 1");
     }
+    if (fleetCfg_)
+        FleetTimeline::check(*fleetCfg_);
+    for (const TenantSpec &spec : specs_)
+        TrafficGen::validateSpec(spec);
     // Mixed-clock pools are legal: every aggregate statistic is
     // wall-clock, converted per chip through the pool's exact
     // integer-picosecond periods. (The pool constructor already
     // rejected clocks that are not frequency bins.)
-    for (const Tenant &t : tenants_) {
-        if (!(t.weight > 0.0 && std::isfinite(t.weight)))
-            throw std::invalid_argument(
-                "AdmissionController: tenant '" + t.name +
-                "' has a weight that is not positive and finite");
-        // Resolves the model (panics on an unknown ref). Fleet
-        // tenants that have not arrived yet carry kNoModel and are
-        // placed lazily at their arrival moment.
-        if (t.model != kNoModel)
-            (void)pool_.modelChip(t.model);
+    //
+    // Every input is valid: place in spec order. A fleet tenant that
+    // arrives later carries kNoModel until its arrival moment.
+    tenants_.reserve(specs_.size());
+    for (std::size_t t = 0; t < specs_.size(); ++t) {
+        const TenantSpec &spec = specs_[t];
+        Tenant tenant;
+        tenant.name = spec.name;
+        tenant.weight = spec.weight;
+        tenant.inputBits = TrafficGen::inputBits(spec.kind);
+        tenant.slo = spec.slo;
+        tenant.model =
+            !fleetCfg_ || spec.arriveNs == 0
+                ? pool_.place(spec.modelKey, tenantModel(gen_, spec, t))
+                : kNoModel;
+        tenants_.push_back(std::move(tenant));
     }
     // Serving drains are strictly admission-ordered: QoS is decided
     // here, not re-decided by the packer's greedy order.
     for (std::size_t c = 0; c < pool_.numChips(); ++c)
         pool_.runtime(c).scheduler().setDrainOrder(
             runtime::DrainOrder::Submission);
-}
-
-AdmissionController::AdmissionController(ChipPool &pool,
-                                         FleetController &fleet,
-                                         const AdmissionConfig &cfg)
-    : AdmissionController(pool, fleet.buildInitialTenants(), cfg)
-{
-    if (&fleet.pool() != &pool)
-        throw std::invalid_argument(
-            "AdmissionController: the FleetController drives a "
-            "different ChipPool than the admission layer");
-    fleet_ = &fleet;
 }
 
 void
@@ -1411,7 +1511,14 @@ ServeReport
 AdmissionController::runStream(RequestSource &source)
 {
     SeqLock lock(mu_);
-    return ServeEngine(pool_, tenants_, cfg_, journal_, fleet_)
+    // A fleet run rebinds and releases the tenant table's placements,
+    // so it cannot start over.
+    if (fleetCfg_ && ran_)
+        throw std::logic_error(
+            "AdmissionController: a fleet-mode controller runs once");
+    ran_ = true;
+    return ServeEngine(pool_, tenants_, cfg_, journal_,
+                       fleetCfg_ ? &*fleetCfg_ : nullptr, gen_, specs_)
         .run(source);
 }
 

@@ -57,8 +57,8 @@
  * 1 GHz bin one cycle is one nanosecond, so uniform-clock runs
  * report the same numbers the cycle-domain controller did.
  *
- * With a FleetController attached (the fleet-mode constructor) the
- * run additionally models fleet lifecycle: tenants arrive and
+ * Constructed with a FleetConfig, a run additionally models the fleet
+ * lifecycle (docs/serving.md, "Fleet lifecycle"): tenants arrive and
  * depart mid-trace, placements migrate between chips, and slots
  * scale up and down — every action journaled as its own EventKind.
  * Each request binds to its tenant's placement *at arrival*, and a
@@ -80,6 +80,7 @@
 #define DARTH_SERVE_ADMISSION_H
 
 #include <cstddef>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -98,8 +99,6 @@ class Journal;
 
 namespace serve
 {
-
-class FleetController;
 
 /** How a freed submission slot picks the next waiting tenant. */
 enum class QosPolicy
@@ -179,6 +178,32 @@ struct AdmissionConfig
     std::size_t threads = 1;
 };
 
+/** Fleet lifecycle policy (all times wall-clock nanoseconds; the
+ *  mechanisms are described in docs/serving.md, "Fleet lifecycle"). */
+struct FleetConfig
+{
+    /** Enable tick-driven live migration off backlogged chips. */
+    bool migration = true;
+    /** Enable autoscaling (chip activation/draining). */
+    bool autoscale = true;
+    /** Autoscaling never drains below this many active slots. */
+    std::size_t minActive = 1;
+    /** Controller tick period: lifecycle decisions happen at
+     *  multiples of this wall-clock interval. Must be positive. */
+    WallNs checkIntervalNs = 2000;
+    /** Scale-up threshold: any active chip backlogged past this
+     *  reactivates one inactive slot. */
+    WallNs backlogHighNs = 4000;
+    /** Scale-down threshold: every active chip under this (with
+     *  spare capacity above minActive) drains one slot. Must be
+     *  below backlogHighNs — the gap is the hysteresis band. */
+    WallNs backlogLowNs = 500;
+    /** Migration threshold: the most backlogged chip sheds one
+     *  tenant when its backlog exceeds this and at least doubles
+     *  the least backlogged chip's. */
+    WallNs migrateHighNs = 6000;
+};
+
 /** One admitted tenant of the serving cluster. */
 struct Tenant
 {
@@ -205,15 +230,6 @@ ServedModel tenantModel(const TrafficGen &gen, const TenantSpec &spec,
                         std::size_t index);
 
 /**
- * Place every spec's model in the pool (tenantModel) and build the
- * admission-layer tenant list. Specs with a non-zero modelKey share
- * weights — and, under MatrixAffinity placement, the placement
- * itself.
- */
-std::vector<Tenant> buildTenants(ChipPool &pool, const TrafficGen &gen,
-                                 const std::vector<TenantSpec> &specs);
-
-/**
  * Serving front end: admission, backpressure, and QoS.
  *
  * The tenant table and config are GUARDED_BY(mu_); a run holds the
@@ -229,26 +245,30 @@ std::vector<Tenant> buildTenants(ChipPool &pool, const TrafficGen &gen,
 class AdmissionController
 {
   public:
-    /** Throws std::invalid_argument on a zero window depth, a
-     *  chipQueueDepth whose length is neither 0 nor the pool's chip
-     *  count, or a tenant with a non-positive weight; a tenant
-     *  naming a model that does not exist in the pool is a panic
-     *  (programming error). */
-    AdmissionController(ChipPool &pool, std::vector<Tenant> tenants,
-                        const AdmissionConfig &cfg);
-
     /**
-     * Fleet-mode controller: tenants come from the fleet's specs
-     * (FleetController::buildInitialTenants — arrived tenants
-     * placed eagerly, future ones lazily), and run() interleaves
-     * the fleet's lifecycle timeline (arrivals, departures,
-     * controller ticks) with the trace. The fleet must drive the
-     * same pool and must outlive the controller. Fleet runs are
-     * sequential: AdmissionConfig::threads is accepted but inert,
-     * and the report is bit-identical for every value.
+     * Check every input, then place the tenants' models in spec
+     * order (tenantModel; specs sharing a non-zero modelKey share
+     * weights and, under MatrixAffinity or CostAware, the placement).
+     * A static run (no `fleet`) places every tenant now, its
+     * arrive/depart window ignored. A fleet run places only the
+     * tenants with arriveNs == 0 now and the rest at their arrival
+     * moment, and interleaves the lifecycle timeline (arrivals,
+     * departures, controller ticks) with the trace; it runs once —
+     * a second run()/runStream() throws std::logic_error before it
+     * touches the pool or the journal.
+     *
+     * Throws std::invalid_argument, with nothing placed, on a zero
+     * window depth, a chipQueueDepth whose length is neither 0 nor
+     * the pool's chip count, an invalid tenant spec
+     * (TrafficGen::validateSpec), or a fleet config with a zero
+     * checkIntervalNs, a zero minActive, or (autoscale on) a
+     * hysteresis band that is not a band (backlogLowNs >=
+     * backlogHighNs).
      */
-    AdmissionController(ChipPool &pool, FleetController &fleet,
-                        const AdmissionConfig &cfg);
+    AdmissionController(ChipPool &pool, TrafficGen gen,
+                        std::vector<TenantSpec> specs,
+                        const AdmissionConfig &cfg,
+                        std::optional<FleetConfig> fleet = std::nullopt);
 
     const AdmissionConfig &config() const EXCLUDES(mu_)
     {
@@ -309,13 +329,16 @@ class AdmissionController
     mutable SeqMutex mu_;
 
     ChipPool &pool_;
-    /** Lifecycle driver for fleet-mode runs; nullptr for static
-     *  fleets. Not owned. */
-    FleetController *fleet_ = nullptr;
+    const TrafficGen gen_;
+    const std::vector<TenantSpec> specs_;
+    /** Lifecycle policy of a fleet run; empty for a static one. */
+    const std::optional<FleetConfig> fleetCfg_;
     std::vector<Tenant> tenants_ GUARDED_BY(mu_);
     AdmissionConfig cfg_ GUARDED_BY(mu_);
     /** Event sink for run() (see setJournal); not owned. */
     journal::Journal *journal_ GUARDED_BY(mu_) = nullptr;
+    /** A fleet run has started (it rewrites the tenant table). */
+    bool ran_ GUARDED_BY(mu_) = false;
 };
 
 } // namespace serve

@@ -199,15 +199,6 @@ ChipPool::liveModels(std::size_t chip) const
     return count;
 }
 
-bool
-ChipPool::heterogeneous() const
-{
-    for (const ChipSpec &s : specs_)
-        if (s.name != specs_.front().name)
-            return true;
-    return false;
-}
-
 runtime::Chip &
 ChipPool::chip(std::size_t i)
 {
@@ -636,26 +627,6 @@ ChipPool::modelChip(ModelRef model) const
     return lookupModel(model, "ChipPool::modelChip").chip;
 }
 
-const runtime::MatrixPlan &
-ChipPool::modelPlan(ModelRef model) const
-{
-    const Model &m = lookupModel(model, "ChipPool::modelPlan");
-    if (m.inference != nullptr)
-        darth_fatal("ChipPool::modelPlan: model ", model,
-                    " is an inference model spanning several "
-                    "placements");
-    return m.handle.plan();
-}
-
-std::size_t
-ChipPool::modelRows(ModelRef model) const
-{
-    const Model &m = lookupModel(model, "ChipPool::modelRows");
-    if (m.inference != nullptr)
-        return m.inference->inputRows;
-    return m.handle.plan().rows;
-}
-
 Cycle
 ChipPool::nominalServiceCycles(ModelRef model, int input_bits)
 {
@@ -696,15 +667,6 @@ ChipPool::wait(ModelRef model, const runtime::MvmFuture &future)
     return sessions_[m.chip].wait(future);
 }
 
-std::size_t
-ChipPool::freeHcts(std::size_t chip) const
-{
-    if (chip >= runtimes_.size())
-        darth_panic("ChipPool::freeHcts: chip ", chip,
-                    " out of range ", runtimes_.size());
-    return runtimes_[chip]->freeHcts();
-}
-
 Cycle
 ChipPool::backlogCycles(std::size_t chip) const
 {
@@ -718,16 +680,6 @@ WallNs
 ChipPool::backlogNs(std::size_t chip) const
 {
     return wallNs(chip, backlogCycles(chip));
-}
-
-WallNs
-ChipPool::makespanNs() const
-{
-    WallNs max = 0;
-    for (std::size_t c = 0; c < runtimes_.size(); ++c)
-        max = std::max(max,
-                       wallNs(c, runtimes_[c]->scheduler().makespan()));
-    return max;
 }
 
 } // namespace serve

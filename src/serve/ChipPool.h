@@ -69,7 +69,7 @@
  * wallNs()/cyclesAt() convert exactly between a chip's cycle domain
  * and the pool-wide wall clock.
  *
- * Fleet lifecycle hooks (serve/FleetController.h drives these):
+ * Fleet lifecycle hooks (a fleet-mode AdmissionController drives these):
  * slots can be deactivated (setChipActive) so draining chips accept
  * no new placements, placements can be released mid-run
  * (releaseModel frees the tiles; the caller must first drain the
@@ -240,9 +240,6 @@ class ChipPool
      */
     Cycle cyclesAt(std::size_t chip, WallNs ns) const;
 
-    /** True when the slots are not all the same ChipSpec name. */
-    bool heterogeneous() const;
-
     runtime::Chip &chip(std::size_t i);
     runtime::Runtime &runtime(std::size_t i);
 
@@ -275,9 +272,9 @@ class ChipPool
      * aborting. Naming `avoid_chip` makes it the migration move: a
      * fresh placement on any chip but that one, past the affinity
      * table, that re-binds the key (the old placement keeps its
-     * tiles until releaseModel). A FleetController migrates and
-     * lazily places through this, so a full pool degrades to
-     * "migration aborted", never to a crash.
+     * tiles until releaseModel). A fleet run migrates and lazily
+     * places through this, so a full pool degrades to "migration
+     * aborted", never to a crash.
      */
     ModelRef tryPlace(u64 key, ServedModel model,
                       std::size_t avoid_chip = kNoChip) EXCLUDES(mu_);
@@ -326,14 +323,6 @@ class ChipPool
     /** Chip that holds a placed model. */
     std::size_t modelChip(ModelRef model) const EXCLUDES(mu_);
 
-    /** Placement plan of a placed model (fatal for inference
-     *  models, which span several placements). */
-    const runtime::MatrixPlan &modelPlan(ModelRef model) const
-        EXCLUDES(mu_);
-
-    /** Flat input length the model's requests must have. */
-    std::size_t modelRows(ModelRef model) const EXCLUDES(mu_);
-
     /**
      * KernelModel oracle cost of one request: for single-MVM models
      * the oracle latency of one MVM (worst part, via the owning
@@ -364,21 +353,13 @@ class ChipPool
                             const runtime::MvmFuture &future)
         EXCLUDES(mu_);
 
-    /** Free tiles on one chip. */
-    std::size_t freeHcts(std::size_t chip) const;
-
     /** Scheduler backlog of one chip in cycles (see
      *  Scheduler::backlogCycles). */
     Cycle backlogCycles(std::size_t chip) const;
 
     /** Scheduler backlog of one chip in wall-clock nanoseconds (the
-     *  CostAware load term and the FleetController's signal). */
+     *  CostAware load term). */
     WallNs backlogNs(std::size_t chip) const;
-
-    /** Max scheduler makespan over all chips, in wall-clock
-     *  nanoseconds (each chip's makespan converted by its own
-     *  clock). */
-    WallNs makespanNs() const;
 
     /**
      * Attach (or detach, with nullptr) an event journal: every

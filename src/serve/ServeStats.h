@@ -138,7 +138,7 @@ struct ChipStats
 
 /**
  * Fleet-lifecycle counters over one run (all zero for a static
- * fleet): what the FleetController actually did, mirrored by the
+ * fleet): what the fleet lifecycle actually did, mirrored by the
  * journal's lifecycle events. serve_bench's fleet experiment uses
  * these to prove its churn scenario is non-vacuous (migrations and
  * scale-downs really happened) before asserting invariance.
@@ -174,8 +174,8 @@ struct ServeReport
     u64 completed = 0;
     u64 rejected = 0;
 
-    /** What the fleet lifecycle did during the run (all zero
-     *  without a FleetController). */
+    /** What the fleet lifecycle did during the run (all zero for a
+     *  static run). */
     FleetStats fleet;
 
     /** FNV-1a over every completed request's output values, in trace

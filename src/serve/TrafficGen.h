@@ -86,7 +86,7 @@ const char *workloadKindName(WorkloadKind kind);
  * fills the window with whole inferences under Inference
  * granularity, while Stage granularity recycles slots at stage
  * completions. Long on/off periods are the diurnal traffic shape
- * the fleet autoscaler breathes against (serve/FleetController.h).
+ * the fleet autoscaler breathes against (serve/Admission.h).
  */
 struct BurstSpec
 {
@@ -127,9 +127,9 @@ struct TenantSpec
      * departNs) in wall-clock nanoseconds. arriveNs = 0 means
      * present from the start; departNs = 0 means never departs.
      * A non-zero departNs must exceed arriveNs (validateSpec).
-     * trace() emits only arrivals inside the window; under a
-     * FleetController the placement is created lazily at arriveNs
-     * and reclaimed once the departed tenant's begun work drains.
+     * trace() emits only arrivals inside the window; in a fleet
+     * run the placement is created lazily at arriveNs and
+     * reclaimed once the departed tenant's begun work drains.
      */
     WallNs arriveNs = 0;
     WallNs departNs = 0;
@@ -264,9 +264,9 @@ class TrafficGen
      * Validate a tenant spec: a non-positive QoS `weight` or
      * open-loop `ratePerKns`, a one-sided BurstSpec (exactly one
      * of onNs/offNs zero), or a departNs at or before arriveNs,
-     * throws std::invalid_argument. buildTenants() and trace()
-     * both call this, so a bad spec fails at the serving front
-     * door rather than deep in a sweep.
+     * throws std::invalid_argument. The AdmissionController
+     * constructor and trace() both call this, so a bad spec fails
+     * at the serving front door rather than deep in a sweep.
      */
     static void validateSpec(const TenantSpec &spec);
 
@@ -282,7 +282,7 @@ class TrafficGen
     /**
      * The weight-identity key of a tenant whose spec left modelKey at
      * 0 (a private matrix): unique per tenant index, never equal to a
-     * user-chosen shared key by convention. buildTenants() uses this;
+     * user-chosen shared key by convention. tenantModel() uses this;
      * exposed so demos/tests can re-derive a tenant's weights.
      */
     static u64

@@ -316,7 +316,7 @@ TEST(ReplayerTest, NonFiniteTenantSetupThrowsBeforeServing)
     // TenantSetup carries the weight (d) and the arrival rate
     // (values[0]) as raw double bits. A re-chained journal patched to
     // NaN or +inf parses, but replay must refuse the tenant with
-    // buildTenants' typed error instead of serving it.
+    // the AdmissionController's typed error instead of serving it.
     ServeRunSetup setup;
     setup.slots = {PoolSlotSetup{SlotKind::Uniform, 2, 1.0}};
     setup.tenants.resize(1);

@@ -9,7 +9,7 @@
 
 #include <cstddef>
 #include <limits>
-#include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -22,7 +22,6 @@
 #include "serve/Admission.h"
 #include "serve/ChipConfig.h"
 #include "serve/ChipPool.h"
-#include "serve/FleetController.h"
 #include "serve/TrafficGen.h"
 
 namespace darth
@@ -111,8 +110,7 @@ TEST(Admission, RejectDropsWhenWindowFullBlockDoesNot)
     cfg.overflow = OverflowPolicy::Reject;
     {
         ChipPool pool(poolConfig(1, 1));
-        auto tenants = buildTenants(pool, gen, microSpecs({1.0}));
-        AdmissionController ac(pool, tenants, cfg);
+        AdmissionController ac(pool, gen, microSpecs({1.0}), cfg);
         const ServeReport report = ac.run(burst);
         EXPECT_EQ(report.completed, 2u);
         EXPECT_EQ(report.rejected, 3u);
@@ -121,8 +119,7 @@ TEST(Admission, RejectDropsWhenWindowFullBlockDoesNot)
     cfg.overflow = OverflowPolicy::Block;
     {
         ChipPool pool(poolConfig(1, 1));
-        auto tenants = buildTenants(pool, gen, microSpecs({1.0}));
-        AdmissionController ac(pool, tenants, cfg);
+        AdmissionController ac(pool, gen, microSpecs({1.0}), cfg);
         const RecordedRun run = runRecorded(ac, burst);
         EXPECT_EQ(run.report.completed, 5u);
         EXPECT_EQ(run.report.rejected, 0u);
@@ -139,11 +136,10 @@ TEST(Admission, FifoAdmitsOldestArrivalFirst)
 {
     TrafficGen gen(43);
     ChipPool pool(poolConfig(1, 2));
-    auto tenants = buildTenants(pool, gen, microSpecs({1.0, 1.0}));
     AdmissionConfig cfg;
     cfg.queueDepth = 1;
     cfg.qos = QosPolicy::Fifo;
-    AdmissionController ac(pool, tenants, cfg);
+    AdmissionController ac(pool, gen, microSpecs({1.0, 1.0}), cfg);
 
     // Tenant 0 at cycles 0 and 2, tenant 1 at cycle 1. With a window
     // of one, the slot freed by the first request must go to tenant
@@ -164,12 +160,11 @@ TEST(Admission, WeightedFairSharesConvergeToWeights)
 {
     TrafficGen gen(44);
     ChipPool pool(poolConfig(1, 2));
-    auto tenants = buildTenants(pool, gen, microSpecs({3.0, 1.0}));
     AdmissionConfig cfg;
     cfg.queueDepth = 2;
     cfg.qos = QosPolicy::WeightedFair;
     cfg.overflow = OverflowPolicy::Block;
-    AdmissionController ac(pool, tenants, cfg);
+    AdmissionController ac(pool, gen, microSpecs({3.0, 1.0}), cfg);
 
     const Cycle horizon = 8000;
     const RecordedRun run = runRecorded(ac, floodTrace(2, horizon));
@@ -198,12 +193,11 @@ TEST(Admission, WeightedFairBanksNoCreditWhileIdle)
     // shared per the (equal) weights.
     TrafficGen gen(49);
     ChipPool pool(poolConfig(1, 2));
-    auto tenants = buildTenants(pool, gen, microSpecs({1.0, 1.0}));
     AdmissionConfig cfg;
     cfg.queueDepth = 2;
     cfg.qos = QosPolicy::WeightedFair;
     cfg.overflow = OverflowPolicy::Block;
-    AdmissionController ac(pool, tenants, cfg);
+    AdmissionController ac(pool, gen, microSpecs({1.0, 1.0}), cfg);
 
     const Cycle half = 6000;
     std::vector<ServeRequest> trace;
@@ -244,12 +238,11 @@ TEST(Admission, RoundRobinIsStarvationFree)
 
     auto run_policy = [&](QosPolicy qos) {
         ChipPool pool(poolConfig(1, 2));
-        auto tenants = buildTenants(pool, gen, microSpecs({1.0, 1.0}));
         AdmissionConfig cfg;
         cfg.queueDepth = 2;
         cfg.qos = qos;
         cfg.overflow = OverflowPolicy::Block;
-        AdmissionController ac(pool, tenants, cfg);
+        AdmissionController ac(pool, gen, microSpecs({1.0, 1.0}), cfg);
         return runRecorded(ac, trace);
     };
 
@@ -281,11 +274,10 @@ TEST(Admission, PoolRunsBitIdenticallyAcrossSizes)
 
     auto run_pool = [&](std::size_t chips) {
         ChipPool pool(poolConfig(chips, 4));
-        auto tenants = buildTenants(pool, gen, rated);
         AdmissionConfig cfg;
         cfg.queueDepth = 4;
         cfg.overflow = OverflowPolicy::Block;
-        AdmissionController ac(pool, tenants, cfg);
+        AdmissionController ac(pool, gen, rated, cfg);
         return runRecorded(ac, trace);
     };
 
@@ -329,12 +321,11 @@ TEST(Admission, ChecksumIsStableAcrossQosPolicies)
           QosPolicy::WeightedFair}) {
         // One shared chip so the policies genuinely reorder service.
         ChipPool pool(poolConfig(1, 2));
-        auto tenants = buildTenants(pool, gen, rated);
         AdmissionConfig cfg;
         cfg.queueDepth = 2;
         cfg.qos = qos;
         cfg.overflow = OverflowPolicy::Block;
-        AdmissionController ac(pool, tenants, cfg);
+        AdmissionController ac(pool, gen, rated, cfg);
         const ServeReport report = ac.run(trace);
         EXPECT_EQ(report.completed, trace.size());
         if (first) {
@@ -351,26 +342,26 @@ TEST(Admission, InvalidConfigsThrow)
 {
     TrafficGen gen(48);
     ChipPool pool(poolConfig(1, 1));
-    auto tenants = buildTenants(pool, gen, microSpecs({1.0}));
+    const auto specs = microSpecs({1.0});
     AdmissionConfig cfg;
     cfg.queueDepth = 0;
-    EXPECT_THROW(AdmissionController(pool, tenants, cfg),
+    EXPECT_THROW(AdmissionController(pool, gen, specs, cfg),
                  std::invalid_argument);
     cfg.queueDepth = 1;
-    auto bad = tenants;
+    auto bad = specs;
     bad[0].weight = 0.0;
-    EXPECT_THROW(AdmissionController(pool, bad, cfg),
+    EXPECT_THROW(AdmissionController(pool, gen, bad, cfg),
                  std::invalid_argument);
     // Per-chip windows: the vector must match the pool (one entry
     // per chip) and every entry must be positive.
     cfg.chipQueueDepth = {2, 2};
-    EXPECT_THROW(AdmissionController(pool, tenants, cfg),
+    EXPECT_THROW(AdmissionController(pool, gen, specs, cfg),
                  std::invalid_argument);
     cfg.chipQueueDepth = {0};
-    EXPECT_THROW(AdmissionController(pool, tenants, cfg),
+    EXPECT_THROW(AdmissionController(pool, gen, specs, cfg),
                  std::invalid_argument);
     cfg.chipQueueDepth = {1};
-    EXPECT_NO_THROW(AdmissionController(pool, tenants, cfg));
+    EXPECT_NO_THROW(AdmissionController(pool, gen, specs, cfg));
 }
 
 TEST(Admission, InvalidRequestsThrowWhenPulled)
@@ -402,24 +393,16 @@ TEST(Admission, InvalidRequestsThrowWhenPulled)
                 specs[1].arriveNs = 400;
             TrafficGen gen(49);
             ChipPool pool(poolConfig(1, 2));
-            std::unique_ptr<FleetController> fleet;
-            std::unique_ptr<AdmissionController> ac;
-            if (c.fleet) {
-                fleet = std::make_unique<FleetController>(
-                    pool, gen, specs, FleetConfig{});
-                ac = std::make_unique<AdmissionController>(
-                    pool, *fleet, AdmissionConfig{});
-            } else {
-                ac = std::make_unique<AdmissionController>(
-                    pool, buildTenants(pool, gen, specs),
-                    AdmissionConfig{});
-            }
+            AdmissionController ac(
+                pool, gen, specs, AdmissionConfig{},
+                c.fleet ? std::optional<FleetConfig>(FleetConfig{})
+                        : std::nullopt);
             try {
                 if (stream) {
                     VectorSource source(c.trace);
-                    ac->runStream(source);
+                    ac.runStream(source);
                 } else {
-                    ac->run(c.trace);
+                    ac.run(c.trace);
                 }
                 ADD_FAILURE() << c.what << ": no throw";
             } catch (const std::invalid_argument &e) {
@@ -451,10 +434,9 @@ TEST(Admission, MixedClockPoolsAreAccepted)
             heteroChipSpec(analog::AdcKind::Sar, 1, /*clock_ghz=*/1.0),
             heteroChipSpec(analog::AdcKind::Sar, 1, /*clock_ghz=*/2.0)};
         ChipPool pool(pcfg);
-        auto tenants = buildTenants(pool, gen, microSpecs({1.0, 1.0}));
-        ASSERT_NE(pool.modelChip(tenants[0].model),
-                  pool.modelChip(tenants[1].model));
-        AdmissionController ac(pool, tenants, cfg);
+        AdmissionController ac(pool, gen, microSpecs({1.0, 1.0}), cfg);
+        ASSERT_NE(pool.modelChip(ac.tenants()[0].model),
+                  pool.modelChip(ac.tenants()[1].model));
         const ServeReport report = ac.run(burst);
         EXPECT_EQ(report.completed, burst.size());
         EXPECT_EQ(report.chips[0].clockGHz, 1.0);
@@ -480,8 +462,7 @@ TEST(Admission, MixedClockPoolsAreAccepted)
             heteroChipSpec(analog::AdcKind::Sar, 1, /*clock_ghz=*/1.0),
             heteroChipSpec(analog::AdcKind::Sar, 1, /*clock_ghz=*/1.0)};
         ChipPool pool(pcfg);
-        auto tenants = buildTenants(pool, gen, microSpecs({1.0, 1.0}));
-        AdmissionController ac(pool, tenants, cfg);
+        AdmissionController ac(pool, gen, microSpecs({1.0, 1.0}), cfg);
         const ServeReport report = ac.run(burst);
         EXPECT_EQ(report.completed, burst.size());
         EXPECT_EQ(report.outputChecksum, mixed_checksum);
@@ -497,23 +478,20 @@ TEST(Admission, PerChipWindowBoundsHoldUnderLoad)
     // not a shared or uniform one — was enforced.
     TrafficGen gen(51);
     ChipPool pool(poolConfig(2, 1));
-    auto tenants = buildTenants(pool, gen, microSpecs({1.0, 1.0}));
-    ASSERT_NE(pool.modelChip(tenants[0].model),
-              pool.modelChip(tenants[1].model));
-    const std::size_t chip0 = pool.modelChip(tenants[0].model);
-    const std::size_t chip1 = pool.modelChip(tenants[1].model);
-
     std::vector<ServeRequest> burst;
     for (int i = 0; i < 5; ++i) {
         burst.push_back(microRequest(0, 0));
         burst.push_back(microRequest(0, 1));
     }
+    // Least-loaded placement puts tenant 0 on chip 0 and tenant 1 on
+    // chip 1.
+    const std::size_t chip0 = 0, chip1 = 1;
     AdmissionConfig cfg;
-    cfg.chipQueueDepth.assign(2, 0);
-    cfg.chipQueueDepth[chip0] = 1;
-    cfg.chipQueueDepth[chip1] = 4;
+    cfg.chipQueueDepth = {1, 4};
     cfg.overflow = OverflowPolicy::Reject;
-    AdmissionController ac(pool, tenants, cfg);
+    AdmissionController ac(pool, gen, microSpecs({1.0, 1.0}), cfg);
+    ASSERT_EQ(pool.modelChip(ac.tenants()[0].model), chip0);
+    ASSERT_EQ(pool.modelChip(ac.tenants()[1].model), chip1);
     const ServeReport report = ac.run(burst);
 
     EXPECT_EQ(report.tenants[0].completed, 1u);
@@ -532,11 +510,10 @@ TEST(Admission, PerChipStatsBreakDownTheReport)
     TrafficGen gen(52);
     ChipPool pool(poolConfig(2, 2));
     auto specs = microSpecs({1.0, 1.0, 1.0});
-    auto tenants = buildTenants(pool, gen, specs);
     AdmissionConfig cfg;
     cfg.queueDepth = 2;
     cfg.overflow = OverflowPolicy::Block;
-    AdmissionController ac(pool, tenants, cfg);
+    AdmissionController ac(pool, gen, specs, cfg);
     const ServeReport report = ac.run(gen.trace(specs, 4000));
     ASSERT_GT(report.completed, 0u);
 
@@ -561,7 +538,7 @@ TEST(Admission, PerChipStatsBreakDownTheReport)
         EXPECT_EQ(cs.hcts, 2u);
     }
     EXPECT_EQ(completed, report.completed);
-    EXPECT_EQ(tenant_count, tenants.size());
+    EXPECT_EQ(tenant_count, specs.size());
     u64 tenant_mvms = 0;
     for (const auto &t : report.tenants)
         tenant_mvms += t.mvms;
@@ -572,7 +549,7 @@ TEST(Admission, TenantSpecValidationThrows)
 {
     // The satellite contract: non-positive weight or rate fails with
     // std::invalid_argument at the traffic layer, both directly and
-    // through buildTenants()/trace().
+    // through the AdmissionController constructor and trace().
     TenantSpec bad_weight;
     bad_weight.name = "w";
     bad_weight.kind = WorkloadKind::Micro;
@@ -593,7 +570,8 @@ TEST(Admission, TenantSpecValidationThrows)
     EXPECT_THROW((void)gen.trace({bad_rate}, 1000),
                  std::invalid_argument);
     ChipPool pool(poolConfig(1, 1));
-    EXPECT_THROW((void)buildTenants(pool, gen, {bad_weight}),
+    EXPECT_THROW(AdmissionController(pool, gen, {bad_weight},
+                                     AdmissionConfig{}),
                  std::invalid_argument);
 
     TenantSpec good;
@@ -637,11 +615,10 @@ TEST(Admission, NonFiniteTenantNumbersThrow)
 
     TrafficGen gen(48);
     ChipPool pool(poolConfig(1, 1));
-    auto tenants = buildTenants(pool, gen, microSpecs({1.0}));
     for (const double bad : {nan, inf}) {
-        auto bad_tenants = tenants;
-        bad_tenants[0].weight = bad;
-        EXPECT_THROW(AdmissionController(pool, bad_tenants,
+        auto bad_specs = microSpecs({1.0});
+        bad_specs[0].weight = bad;
+        EXPECT_THROW(AdmissionController(pool, gen, bad_specs,
                                          AdmissionConfig{}),
                      std::invalid_argument)
             << "weight " << bad;
@@ -679,20 +656,20 @@ TEST(Admission, InferenceRequestsServeWholeForwards)
     specs[0].name = "cnn_infer";
     specs[0].kind = WorkloadKind::CnnInfer;
     specs[0].ratePerKns = 0.05;
-    auto tenants = buildTenants(pool, gen, specs);
-    EXPECT_TRUE(pool.isInference(tenants[0].model));
-    EXPECT_EQ(pool.modelRows(tenants[0].model), 64u);
-
-    // Whole-inference oracle cost: far above any single-MVM cost.
-    const Cycle nominal =
-        pool.nominalServiceCycles(tenants[0].model, 8);
-    EXPECT_GT(nominal, 1000u);
-
     AdmissionConfig cfg;
     cfg.queueDepth = 1;
     cfg.qos = QosPolicy::WeightedFair;
     cfg.overflow = OverflowPolicy::Block;
-    AdmissionController ac(pool, tenants, cfg);
+    AdmissionController ac(pool, gen, specs, cfg);
+    const ModelRef model = ac.tenants()[0].model;
+    EXPECT_TRUE(pool.isInference(model));
+    EXPECT_EQ(gen.cnnInferNet(TrafficGen::privateModelKey(0)).inputSize(),
+              64u);
+
+    // Whole-inference oracle cost: far above any single-MVM cost.
+    const Cycle nominal = pool.nominalServiceCycles(model, 8);
+    EXPECT_GT(nominal, 1000u);
+
     const auto trace = gen.trace(specs, 120000);
     ASSERT_GE(trace.size(), 3u);
     const RecordedRun run = runRecorded(ac, trace);
@@ -746,13 +723,12 @@ TEST(Admission, StageGranularityKeepsOutputsBitIdentical)
 
     auto run_granularity = [&](Granularity granularity) {
         ChipPool pool(stagePoolConfig());
-        auto tenants = buildTenants(pool, gen, specs);
         AdmissionConfig cfg;
         cfg.queueDepth = 2;
         cfg.qos = QosPolicy::WeightedFair;
         cfg.overflow = OverflowPolicy::Block;
         cfg.granularity = granularity;
-        AdmissionController ac(pool, tenants, cfg);
+        AdmissionController ac(pool, gen, specs, cfg);
         return runRecorded(ac, trace);
     };
 
@@ -817,13 +793,12 @@ TEST(Admission, StageSlotsReleaseOnStageCompletion)
 
     auto run_granularity = [&](Granularity granularity) {
         ChipPool pool(stagePoolConfig());
-        auto tenants = buildTenants(pool, gen, specs);
         AdmissionConfig cfg;
         cfg.queueDepth = 1;
         cfg.qos = QosPolicy::RoundRobin;
         cfg.overflow = OverflowPolicy::Block;
         cfg.granularity = granularity;
-        AdmissionController ac(pool, tenants, cfg);
+        AdmissionController ac(pool, gen, specs, cfg);
         return runRecorded(ac, trace);
     };
 
@@ -868,12 +843,11 @@ TEST(Admission, StageRejectFinishesBegunRequestsAndDropsArrivals)
     }
 
     ChipPool pool(stagePoolConfig());
-    auto tenants = buildTenants(pool, gen, specs);
     AdmissionConfig cfg;
     cfg.queueDepth = 1;
     cfg.overflow = OverflowPolicy::Reject;
     cfg.granularity = Granularity::Stage;
-    AdmissionController ac(pool, tenants, cfg);
+    AdmissionController ac(pool, gen, specs, cfg);
     const RecordedRun run = runRecorded(ac, trace);
 
     EXPECT_EQ(run.report.completed, 2u);
@@ -910,7 +884,8 @@ TEST(Admission, BurstSpecValidationThrows)
     EXPECT_THROW((void)gen.trace({one_sided}, 1000),
                  std::invalid_argument);
     ChipPool pool(poolConfig(1, 1));
-    EXPECT_THROW((void)buildTenants(pool, gen, {one_sided}),
+    EXPECT_THROW(AdmissionController(pool, gen, {one_sided},
+                                     AdmissionConfig{}),
                  std::invalid_argument);
 
     TenantSpec bursty = one_sided;
@@ -974,7 +949,6 @@ TEST(Admission, InferenceBlocksHonourArrivalOrderAndWindow)
     specs[0].name = "cnn_infer";
     specs[0].kind = WorkloadKind::CnnInfer;
     specs[0].ratePerKns = 1.0;
-    auto tenants = buildTenants(pool, gen, specs);
 
     std::vector<ServeRequest> trace(2);
     for (std::size_t i = 0; i < trace.size(); ++i) {
@@ -985,7 +959,7 @@ TEST(Admission, InferenceBlocksHonourArrivalOrderAndWindow)
 
     AdmissionConfig cfg;
     cfg.queueDepth = 1;
-    AdmissionController ac(pool, tenants, cfg);
+    AdmissionController ac(pool, gen, specs, cfg);
     const RecordedRun run = runRecorded(ac, trace);
     ASSERT_EQ(run.report.completed, 2u);
     const std::vector<test::RequestRecord> &r = run.records.requests;

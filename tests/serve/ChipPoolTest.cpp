@@ -131,11 +131,12 @@ TEST(ChipPool, MatrixAffinitySharesPlacements)
     const MatrixI m = randomMatrix(8, 8, 640);
     const ModelRef first = pool.place(7, MatrixModel{m, 1, 1});
     const std::size_t free_after_first =
-        pool.freeHcts(pool.modelChip(first));
+        pool.runtime(pool.modelChip(first)).freeHcts();
     // Same key: the existing placement is returned, no tiles consumed.
     const ModelRef second = pool.place(7, MatrixModel{m, 1, 1});
     EXPECT_EQ(first, second);
-    EXPECT_EQ(pool.freeHcts(pool.modelChip(first)), free_after_first);
+    EXPECT_EQ(pool.runtime(pool.modelChip(first)).freeHcts(),
+              free_after_first);
     // A different key places fresh (on the emptier chip).
     const ModelRef other =
         pool.place(8, MatrixModel{randomMatrix(8, 8, 641), 1, 1});
@@ -217,7 +218,10 @@ TEST(ChipPool, SubmitRoutesToOwningChip)
               0u);
     EXPECT_EQ(pool.runtime(pool.modelChip(b)).scheduler().makespan(),
               0u);
-    EXPECT_EQ(pool.makespanNs(), result.done);
+    const std::size_t chip_a = pool.modelChip(a);
+    EXPECT_EQ(pool.wallNs(chip_a,
+                          pool.runtime(chip_a).scheduler().makespan()),
+              result.done);
 }
 
 TEST(ChipPool, ZeroChipsIsFatal)
@@ -254,7 +258,7 @@ TEST(ChipPool, InferenceModelRunsWholeForward)
     cnn::TinyCnn net(5);
     const ModelRef model = pool.place(0, cnn::TinyCnn(5));
     EXPECT_TRUE(pool.isInference(model));
-    EXPECT_EQ(pool.modelRows(model), net.inputSize());
+    EXPECT_EQ(net.inputSize(), TrafficGen::inputRows(WorkloadKind::CnnInfer));
 
     const std::vector<i64> input(net.inputSize(), 3);
     auto inference = pool.beginInference(model, input);
@@ -289,7 +293,6 @@ TEST(ChipPool, SingleMvmCallsOnInferenceModelsAreFatal)
     const ModelRef model = pool.place(0, cnn::TinyCnn(5));
     EXPECT_THROW((void)pool.submit(model, std::vector<i64>(64, 0), 8),
                  std::runtime_error);
-    EXPECT_THROW((void)pool.modelPlan(model), std::runtime_error);
 }
 
 // ---------------------------------------------------------------------------
@@ -326,7 +329,7 @@ TEST(ChipPool, IsoAreaRampChipCarriesFewerTiles)
     EXPECT_GT(sar.chip.modeledHcts, ramp.chip.modeledHcts);
 
     ChipPool pool(mixedPoolConfig(PlacementPolicy::CostAware, 8));
-    EXPECT_TRUE(pool.heterogeneous());
+    EXPECT_NE(pool.spec(0).name, pool.spec(1).name);
     EXPECT_EQ(pool.spec(0).name, "sar");
     EXPECT_EQ(pool.spec(1).name, "ramp");
     EXPECT_EQ(pool.chip(0).numHcts(), 8u);
@@ -381,7 +384,7 @@ TEST(ChipPool, CostAwarePlacesInferenceNetworksOnTheirCheaperChip)
                  heteroChipSpec(analog::AdcKind::Ramp, 16)};
     cfg.placement = PlacementPolicy::CostAware;
     ChipPool pool(cfg);
-    ASSERT_LT(pool.freeHcts(0), pool.freeHcts(1));
+    ASSERT_LT(pool.runtime(0).freeHcts(), pool.runtime(1).freeHcts());
     TrafficGen gen(14);
     for (const bool cnn_net : {true, false}) {
         auto net = [&]() -> ServedModel {
@@ -410,7 +413,7 @@ TEST(ChipPool, CostAwareTiesFallBackToLeastLoaded)
                  heteroChipSpec(analog::AdcKind::Sar, 2)};
     cfg.placement = PlacementPolicy::CostAware;
     ChipPool pool(cfg);
-    EXPECT_FALSE(pool.heterogeneous());
+    EXPECT_EQ(pool.spec(0).name, pool.spec(1).name);
     TrafficGen gen(12);
     const ModelRef a = pool.place(
         0, MatrixModel{gen.weights(WorkloadKind::Micro, 1), 1, 1, 1});
@@ -427,11 +430,11 @@ TEST(ChipPool, CostAwareHonoursAffinitySharing)
     const MatrixI m = gen.weights(WorkloadKind::GfWide, 7);
     const ModelRef first = pool.place(7, MatrixModel{m, 1, 1, 1});
     const std::size_t free_after =
-        pool.freeHcts(pool.modelChip(first));
+        pool.runtime(pool.modelChip(first)).freeHcts();
     // Same key: shared placement, no new tiles, same chip.
     const ModelRef second = pool.place(7, MatrixModel{m, 1, 1, 1});
     EXPECT_EQ(first, second);
-    EXPECT_EQ(pool.freeHcts(pool.modelChip(first)), free_after);
+    EXPECT_EQ(pool.runtime(pool.modelChip(first)).freeHcts(), free_after);
     // A reused key with different weights is fatal, as under
     // MatrixAffinity.
     EXPECT_THROW(
@@ -453,7 +456,8 @@ TEST(ChipPool, StagedInferenceChargesSumToNominal)
     const ModelRef llm_model =
         pool.place(0, gen.llmInferNet(2));
 
-    const std::vector<i64> cnn_input(pool.modelRows(cnn_model), 1);
+    const std::vector<i64> cnn_input(
+        TrafficGen::inputRows(WorkloadKind::CnnInfer), 1);
     auto cnn_run = pool.beginInference(cnn_model, cnn_input, 0);
     EXPECT_EQ(cnn_run->stageCount(), 3u);   // conv1, conv2, fc
     u64 total = 0;
@@ -466,7 +470,8 @@ TEST(ChipPool, StagedInferenceChargesSumToNominal)
     // nominal scaled by the 1000 ps period, exactly.
     EXPECT_EQ(total, 1000 * pool.nominalServiceCycles(cnn_model, 8));
 
-    const std::vector<i64> llm_input(pool.modelRows(llm_model), 1);
+    const std::vector<i64> llm_input(
+        TrafficGen::inputRows(WorkloadKind::LlmInfer), 1);
     auto llm_run = pool.beginInference(llm_model, llm_input, 0);
     EXPECT_EQ(llm_run->stageCount(), 4u);   // qkv, attn-wo, ffn1/2
     total = 0;
@@ -597,11 +602,10 @@ TEST(ChipPool, MixedPoolOutputsBitIdenticalToHomogeneous)
                            4)};
         cfg.placement = PlacementPolicy::CostAware;
         ChipPool pool(cfg);
-        auto tenants = buildTenants(pool, gen, specs);
         AdmissionConfig acfg;
         acfg.queueDepth = 2;
         acfg.overflow = OverflowPolicy::Block;
-        AdmissionController ac(pool, tenants, acfg);
+        AdmissionController ac(pool, gen, specs, acfg);
         return ac.run(gen.trace(specs, 8000));
     };
 

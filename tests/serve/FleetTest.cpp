@@ -10,6 +10,7 @@
 #include <cstddef>
 #include <map>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,7 +19,6 @@
 #include "serve/Admission.h"
 #include "serve/ChipConfig.h"
 #include "serve/ChipPool.h"
-#include "serve/FleetController.h"
 #include "serve/TrafficGen.h"
 
 namespace darth
@@ -59,8 +59,7 @@ staticRun(const PoolConfig &pcfg, const std::vector<TenantSpec> &specs,
           const AdmissionConfig &acfg, u64 traffic_seed)
 {
     ChipPool pool(pcfg);
-    TrafficGen gen(traffic_seed);
-    AdmissionController ac(pool, buildTenants(pool, gen, specs), acfg);
+    AdmissionController ac(pool, TrafficGen(traffic_seed), specs, acfg);
     return ac.run(trace);
 }
 
@@ -104,9 +103,7 @@ TEST(Fleet, ChurnCreatesAndReclaimsPlacements)
     fcfg.checkIntervalNs = 300;
 
     ChipPool pool(pcfg);
-    TrafficGen fleet_gen(seed);
-    FleetController fleet(pool, fleet_gen, specs, fcfg);
-    AdmissionController ac(pool, fleet, acfg);
+    AdmissionController ac(pool, TrafficGen(seed), specs, acfg, fcfg);
     journal::Journal jr;
     ac.setJournal(&jr);
     const ServeReport report = ac.run(trace);
@@ -164,9 +161,7 @@ TEST(Fleet, MidGraphMigrationFinishesBegunWorkAndKeepsChecksum)
     fcfg.migrateHighNs = 1;
 
     ChipPool pool(pcfg);
-    TrafficGen fleet_gen(seed);
-    FleetController fleet(pool, fleet_gen, specs, fcfg);
-    AdmissionController ac(pool, fleet, acfg);
+    AdmissionController ac(pool, TrafficGen(seed), specs, acfg, fcfg);
     journal::Journal jr;
     ac.setJournal(&jr);
     const ServeReport report = ac.run(trace);
@@ -236,9 +231,7 @@ TEST(Fleet, MigrationAbortsWhenNoOtherChipFits)
     fcfg.migrateHighNs = 1;
 
     ChipPool pool(pcfg);
-    TrafficGen fleet_gen(seed);
-    FleetController fleet(pool, fleet_gen, specs, fcfg);
-    AdmissionController ac(pool, fleet, acfg);
+    AdmissionController ac(pool, TrafficGen(seed), specs, acfg, fcfg);
     const ServeReport report = ac.run(trace);
 
     EXPECT_GE(report.fleet.migrationsAborted, 1u);
@@ -276,9 +269,7 @@ TEST(Fleet, DepartWithInFlightStagesFinishesBegunWork)
     fcfg.checkIntervalNs = 200;
 
     ChipPool pool(pcfg);
-    TrafficGen fleet_gen(seed);
-    FleetController fleet(pool, fleet_gen, specs, fcfg);
-    AdmissionController ac(pool, fleet, acfg);
+    AdmissionController ac(pool, TrafficGen(seed), specs, acfg, fcfg);
     journal::Journal jr;
     ac.setJournal(&jr);
     const ServeReport report = ac.run(trace);
@@ -330,9 +321,7 @@ TEST(Fleet, AutoscaleDrainsQuietSlotsAndReactivatesUnderLoad)
     fcfg.minActive = 1;
 
     ChipPool pool(pcfg);
-    TrafficGen fleet_gen(seed);
-    FleetController fleet(pool, fleet_gen, specs, fcfg);
-    AdmissionController ac(pool, fleet, acfg);
+    AdmissionController ac(pool, TrafficGen(seed), specs, acfg, fcfg);
     const ServeReport report = ac.run(trace);
 
     EXPECT_EQ(report.completed, trace.size());
@@ -342,6 +331,110 @@ TEST(Fleet, AutoscaleDrainsQuietSlotsAndReactivatesUnderLoad)
     const ServeReport twin =
         staticRun(pcfg, specs, trace, acfg, seed);
     EXPECT_EQ(report.outputChecksum, twin.outputChecksum);
+}
+
+/** The churn scenario's specs: a permanent tenant and a visitor
+ *  present on [400, 900) ns. */
+std::vector<TenantSpec>
+churnSpecs()
+{
+    return {microSpec("stayer", 2.0),
+            microSpec("visitor", 3.0, /*arrive=*/400, /*depart=*/900)};
+}
+
+/** Live placements over every chip of the pool. */
+std::size_t
+liveModels(const ChipPool &pool)
+{
+    std::size_t live = 0;
+    for (std::size_t c = 0; c < pool.numChips(); ++c)
+        live += pool.liveModels(c);
+    return live;
+}
+
+TEST(Fleet, SecondRunThrowsBeforeTouchingThePoolOrJournal)
+{
+    // A fleet run rebinds and releases the tenant table's placements
+    // (the visitor's is reclaimed at departure), so the controller
+    // runs once: a second run fails with a typed error before any
+    // request is pulled, leaving the pool and the journal as the
+    // first run left them.
+    const u64 seed = 71;
+    const PoolConfig pcfg = uniformPool(2, 2);
+    const std::vector<TenantSpec> specs = churnSpecs();
+    const std::vector<ServeRequest> trace =
+        TrafficGen(seed).trace(specs, 1400);
+    ASSERT_FALSE(trace.empty());
+    AdmissionConfig acfg;
+    acfg.queueDepth = 2;
+    FleetConfig fcfg;
+    fcfg.migration = false;
+    fcfg.autoscale = false;
+    fcfg.checkIntervalNs = 300;
+
+    ChipPool pool(pcfg);
+    AdmissionController ac(pool, TrafficGen(seed), specs, acfg, fcfg);
+    journal::Journal jr;
+    ac.setJournal(&jr);
+    const ServeReport first = ac.run(trace);
+    EXPECT_EQ(first.completed, trace.size());
+    const std::size_t records = jr.size();
+    const std::size_t live = liveModels(pool);
+    std::vector<Cycle> makespans;
+    for (std::size_t c = 0; c < pool.numChips(); ++c)
+        makespans.push_back(pool.runtime(c).scheduler().makespan());
+
+    EXPECT_THROW((void)ac.run(trace), std::logic_error);
+    VectorSource source(trace);
+    EXPECT_THROW((void)ac.runStream(source), std::logic_error);
+    EXPECT_EQ(jr.size(), records);
+    EXPECT_EQ(liveModels(pool), live);
+    for (std::size_t c = 0; c < pool.numChips(); ++c)
+        EXPECT_EQ(pool.runtime(c).scheduler().makespan(), makespans[c]);
+    ac.setJournal(nullptr);
+
+    // A static controller reruns the same trace identically.
+    ChipPool static_pool(pcfg);
+    AdmissionController twin(static_pool, TrafficGen(seed), specs, acfg);
+    const ServeReport once = twin.run(trace);
+    const ServeReport again = twin.run(trace);
+    EXPECT_EQ(once.outputChecksum, first.outputChecksum);
+    EXPECT_EQ(again.outputChecksum, once.outputChecksum);
+    EXPECT_EQ(again.completed, once.completed);
+}
+
+TEST(Fleet, InvalidConfigsThrowWithNothingPlaced)
+{
+    // Every input is checked before the first placement: a rejected
+    // fleet config, or a zero window depth in fleet mode, leaves the
+    // pool empty and journals no Placement record.
+    struct Case
+    {
+        FleetConfig fleet;
+        AdmissionConfig admission;
+    };
+    std::vector<Case> cases(4);
+    cases[0].fleet.checkIntervalNs = 0;
+    cases[1].fleet.minActive = 0;
+    ASSERT_TRUE(cases[2].fleet.autoscale);
+    cases[2].fleet.backlogLowNs = cases[2].fleet.backlogHighNs;
+    cases[3].admission.queueDepth = 0;
+
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+        ChipPool pool(uniformPool(2, 2));
+        journal::Journal jr;
+        pool.setJournal(&jr);
+        EXPECT_THROW(AdmissionController(pool, TrafficGen(71), churnSpecs(),
+                                         cases[i].admission,
+                                         cases[i].fleet),
+                     std::invalid_argument)
+            << "case " << i;
+        pool.setJournal(nullptr);
+        for (std::size_t c = 0; c < pool.numChips(); ++c)
+            EXPECT_EQ(pool.liveModels(c), 0u) << "case " << i;
+        EXPECT_EQ(countKind(jr, journal::EventKind::Placement), 0u)
+            << "case " << i;
+    }
 }
 
 } // namespace

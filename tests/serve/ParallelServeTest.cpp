@@ -95,13 +95,12 @@ runAt(std::size_t threads)
     TrafficGen gen(4242);
     ChipPool pool(poolConfig(4));
     const auto specs = mixedSpecs();
-    auto tenants = buildTenants(pool, gen, specs);
     AdmissionConfig cfg;
     cfg.queueDepth = 2;
     cfg.qos = QosPolicy::WeightedFair;
     cfg.overflow = OverflowPolicy::Block;
     cfg.threads = threads;
-    AdmissionController ac(pool, tenants, cfg);
+    AdmissionController ac(pool, gen, specs, cfg);
     journal::Journal jr;
     ac.setJournal(&jr);
     JournaledRun run{ac.run(gen.trace(specs, 4000)), {}};

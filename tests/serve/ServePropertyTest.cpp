@@ -143,8 +143,8 @@ drawSetup(u64 seed)
     }
 
     // Odd seeds exercise the fleet lifecycle: one tenant churns
-    // (arrives late, departs early) and the run is driven through a
-    // FleetController with migration + autoscaling live.
+    // (arrives late, departs early) and the run is a fleet-mode run
+    // with migration + autoscaling live.
     if (seed % 2 == 1) {
         setup.fleet = true;
         setup.fleetCfg.checkIntervalNs = 400;

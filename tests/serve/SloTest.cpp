@@ -135,10 +135,9 @@ TEST(SloTest, AdmissionRunTracksPerTenantBurn)
     specs[2].kind = WorkloadKind::Micro;
     specs[2].ratePerKns = 2.0;   // SLO disabled
 
-    auto tenants = buildTenants(pool, gen, specs);
     AdmissionConfig cfg;
     cfg.queueDepth = 2;
-    AdmissionController ac(pool, tenants, cfg);
+    AdmissionController ac(pool, gen, specs, cfg);
     const ServeReport report = ac.run(gen.trace(specs, 20000));
 
     const SloStats &impossible = report.tenants[0].slo;
@@ -171,11 +170,10 @@ TEST(SloTest, RejectedRequestsBurnBudget)
     specs[0].ratePerKns = 50.0;   // far past one tile's capacity
     specs[0].slo = {Cycle{1} << 40, 0.9};   // only rejections miss
 
-    auto tenants = buildTenants(pool, gen, specs);
     AdmissionConfig cfg;
     cfg.queueDepth = 1;
     cfg.overflow = OverflowPolicy::Reject;
-    AdmissionController ac(pool, tenants, cfg);
+    AdmissionController ac(pool, gen, specs, cfg);
     const ServeReport report = ac.run(gen.trace(specs, 20000));
 
     ASSERT_GT(report.rejected, 0u);

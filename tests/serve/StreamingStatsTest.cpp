@@ -221,11 +221,9 @@ TEST(StreamingStats, RunStreamCollectsTheOutputsRunDoes)
             TrafficGen(setup.trafficSeed)
                 .trace(setup.tenants, setup.horizon);
         auto serve = [&](RequestSource *source, journal::Journal &jr) {
-            TrafficGen gen(setup.trafficSeed);
             ChipPool pool(setup.poolConfig());
-            AdmissionController ac(
-                pool, buildTenants(pool, gen, setup.tenants),
-                setup.admission);
+            AdmissionController ac(pool, TrafficGen(setup.trafficSeed),
+                                   setup.tenants, setup.admission);
             ac.setJournal(&jr);
             return source != nullptr ? ac.runStream(*source)
                                      : ac.run(trace);

@@ -69,7 +69,13 @@ Ace::setMatrix(const MatrixI &m, int element_bits, int bits_per_cell)
                     "-bit cell (code ", max_cell, ") exceeds the ",
                     cfg_.adc.bits, "-bit ADC range; no row grouping "
                     "can compensate");
-    const auto sliced = sliceSignedMatrix(m, element_bits, bits_per_cell);
+    // Only the crossbars hold slices; the exact path reads the matrix.
+    const bool exact = cfg_.noise.ideal();
+    std::vector<MatrixI> sliced;
+    if (exact)
+        checkMatrixRange(m, element_bits);
+    else
+        sliced = sliceSignedMatrix(m, element_bits, bits_per_cell);
 
     matrix_ = m;
     elementBits_ = element_bits;
@@ -114,57 +120,62 @@ Ace::setMatrix(const MatrixI &m, int element_bits, int bits_per_cell)
         }
     }
 
-    reprogramAll(sliced);
-}
+    conversionCycles_ =
+        adc_.conversionLatency(m.cols(), cfg_.numAdcs, rampSweepStates_);
+    conversionEnergy_ =
+        adc_.conversionEnergy(m.cols(), cfg_.numAdcs, rampSweepStates_);
+    plans_.clear();
 
-void
-Ace::reprogramAll(const std::vector<MatrixI> &slices)
-{
     xbars_.clear();
-    matrix16_.clear();
-    const std::size_t cols = matrix_.cols();
-    if (cfg_.noise.ideal()) {
-        if (elementBits_ <= 15) {
-            matrix16_.reserve(matrix_.data().size());
-            for (i64 v : matrix_.data())
-                matrix16_.push_back(static_cast<i16>(v));
-        }
-    } else {
-        xbars_.reserve(arraysUsed());
-        for (int s = 0; s < slices_; ++s) {
-            for (std::size_t rt = 0; rt < rowTiles_; ++rt) {
-                for (std::size_t ct = 0; ct < colTiles_; ++ct) {
-                    const std::size_t r0 = rt * rowsPerTile_;
-                    const std::size_t c0 = ct * colsPerTile_;
-                    const std::size_t nr =
-                        std::min(rowsPerTile_, matrix_.rows() - r0);
-                    const std::size_t nc =
-                        std::min(colsPerTile_, cols - c0);
-                    MatrixI sub(nr, nc);
-                    for (std::size_t r = 0; r < nr; ++r)
-                        for (std::size_t c = 0; c < nc; ++c)
-                            sub(r, c) = slices[static_cast<std::size_t>(
-                                s)](r0 + r, c0 + c);
-                    auto xb = std::make_unique<Crossbar>(
-                        cfg_.arrayRows, cfg_.arrayCols, bitsPerCell_,
-                        cfg_.noise,
-                        seed_ + xbars_.size() * 7919 + 13);
-                    xb->programSigned(sub);
-                    xbars_.push_back(std::move(xb));
-                }
-            }
-        }
+    columns16_.clear();
+    if (!exact)
+        programCrossbars(sliced);
+    else if (elementBits_ <= 15) {
+        // Column c's weights side by side, for one dot product each.
+        const std::size_t rows = m.rows();
+        columns16_.resize(rows * m.cols());
+        for (std::size_t r = 0; r < rows; ++r)
+            for (std::size_t c = 0; c < m.cols(); ++c)
+                columns16_[c * rows + r] = static_cast<i16>(m(r, c));
     }
     // Both devices of every differential pair of every slice are
     // written, whichever path holds the values.
     const u64 cells_written =
-        2 * static_cast<u64>(slices_) * matrix_.rows() * cols;
+        2 * static_cast<u64>(slices_) * m.rows() * m.cols();
     if (tally_ != nullptr)
         tally_->add("ace.program",
                     cells_written * cfg_.cellProgramCycles,
                     static_cast<double>(cells_written) *
                         cfg_.cellProgramEnergyPJ,
                     cells_written);
+}
+
+void
+Ace::programCrossbars(const std::vector<MatrixI> &slices)
+{
+    xbars_.reserve(arraysUsed());
+    for (int s = 0; s < slices_; ++s) {
+        for (std::size_t rt = 0; rt < rowTiles_; ++rt) {
+            for (std::size_t ct = 0; ct < colTiles_; ++ct) {
+                const std::size_t r0 = rt * rowsPerTile_;
+                const std::size_t c0 = ct * colsPerTile_;
+                const std::size_t nr =
+                    std::min(rowsPerTile_, matrix_.rows() - r0);
+                const std::size_t nc =
+                    std::min(colsPerTile_, matrix_.cols() - c0);
+                MatrixI sub(nr, nc);
+                for (std::size_t r = 0; r < nr; ++r)
+                    for (std::size_t c = 0; c < nc; ++c)
+                        sub(r, c) = slices[static_cast<std::size_t>(s)](
+                            r0 + r, c0 + c);
+                auto xb = std::make_unique<Crossbar>(
+                    cfg_.arrayRows, cfg_.arrayCols, bitsPerCell_,
+                    cfg_.noise, seed_ + xbars_.size() * 7919 + 13);
+                xb->programSigned(sub);
+                xbars_.push_back(std::move(xb));
+            }
+        }
+    }
 }
 
 void
@@ -184,7 +195,7 @@ Ace::addGroupCodes(const std::vector<i64> &x, int bit,
 
 void
 Ace::convertGroup(const std::vector<i64> &x, int bit, int s,
-                  const RowGroup &group, std::vector<i64> &values)
+                  const RowGroup &group, i64 *values)
 {
     const std::size_t r0 = group.rowTile * rowsPerTile_;
     for (std::size_t ct = 0; ct < colTiles_; ++ct) {
@@ -204,10 +215,12 @@ Ace::convertGroup(const std::vector<i64> &x, int bit, int s,
 bool
 Ace::countPlaneRows(const std::vector<i64> &x, int input_bits)
 {
-    const bool negative = checkInputRange(x, input_bits);
+    if (input_bits <= 0 || input_bits > 63)
+        darth_fatal("sliceInput: input_bits must be in [1, 63]");
     // Plane `bit` drives the rows whose input has that bit set (the
     // bits sliceInput() lays out). Eight planes at a time are counted
-    // in the bytes of one word, flushed before a byte can overflow.
+    // in the bytes of one word, flushed before a byte can overflow;
+    // the low eight share one pass with the range's extremes.
     static constexpr auto kSpread = [] {
         std::array<u64, 256> spread{};
         for (std::size_t b = 0; b < 256; ++b)
@@ -217,96 +230,129 @@ Ace::countPlaneRows(const std::vector<i64> &x, int input_bits)
         return spread;
     }();
     planeRows_.assign(static_cast<std::size_t>(input_bits), 0);
+    const auto flush = [&](int base, u64 counts) {
+        for (int i = 0; i < 8 && base + i < input_bits; ++i)
+            planeRows_[static_cast<std::size_t>(base + i)] +=
+                (counts >> (8 * i)) & 0xff;
+    };
+    i64 lo = 0;
+    i64 hi = 0;
     for (int base = 0; base < input_bits; base += 8) {
-        const auto flush = [&](u64 counts) {
-            for (int i = 0; i < 8 && base + i < input_bits; ++i)
-                planeRows_[static_cast<std::size_t>(base + i)] +=
-                    (counts >> (8 * i)) & 0xff;
-        };
         u64 counts = 0;
         std::size_t pending = 0;
         for (i64 v : x) {
+            if (base == 0) {
+                lo = std::min(lo, v);
+                hi = std::max(hi, v);
+            }
             counts += kSpread[(static_cast<u64>(v) >> base) & 0xff];
             if (++pending == 255) {
-                flush(counts);
+                flush(base, counts);
                 counts = 0;
                 pending = 0;
             }
         }
-        flush(counts);
+        flush(base, counts);
     }
+    // sliceInput()'s bounds: two's complement when any value is
+    // negative, else unsigned. checkInputRange() names the culprit.
+    const bool negative = lo < 0;
+    const u64 top = negative ? (u64{1} << (input_bits - 1)) - 1
+                             : (u64{1} << input_bits) - 1;
+    if (lo < -(i64{1} << (input_bits - 1)) || static_cast<u64>(hi) > top)
+        checkInputRange(x, input_bits);
     return negative;
 }
 
-void
-Ace::scheduleConversions(int input_bits, bool negative,
-                         const std::size_t *active_rows, Cycle start,
-                         std::vector<Conversion> &schedule)
+ConversionPlan
+Ace::buildPlan(int input_bits, bool negative) const
 {
-    const std::size_t cols = matrix_.cols();
-    schedule.clear();
-    schedule.reserve(static_cast<std::size_t>(input_bits) *
-                     static_cast<std::size_t>(slices_) * groups_.size());
-
-    Cycle array_free = start;
-    Cycle adc_free = start;
-    // Every conversion digitizes all columns at one operating point.
-    const Cycle conv_cycles =
-        adc_.conversionLatency(cols, cfg_.numAdcs, rampSweepStates_);
-    const double conv_energy =
-        adc_.conversionEnergy(cols, cfg_.numAdcs, rampSweepStates_);
-    // Resolve the tally accumulators once per MVM; the per-plane and
-    // per-group charges below then skip the string-keyed map lookup.
-    // Safe within one call: nothing clears the tally mid-MVM.
-    CostEntry *t_dac = nullptr;
-    CostEntry *t_array = nullptr;
-    CostEntry *t_sh = nullptr;
-    CostEntry *t_adc = nullptr;
-    if (tally_ != nullptr) {
-        t_dac = &tally_->entry("ace.dac");
-        t_array = &tally_->entry("ace.array");
-        t_sh = &tally_->entry("ace.sh");
-        t_adc = &tally_->entry("ace.adc");
-    }
+    ConversionPlan plan;
+    plan.reserve(static_cast<std::size_t>(input_bits) *
+                 static_cast<std::size_t>(slices_) * groups_.size());
+    Cycle array_free = 0;
+    Cycle adc_free = 0;
     for (int bit = 0; bit < input_bits; ++bit) {
         // Drive the wordlines with this bit plane; all arrays of all
         // slices sample concurrently.
         const Cycle sampled =
             array_free + cfg_.dacApplyCycles + cfg_.settleCycles;
         array_free = sampled;
-
-        if (tally_ != nullptr) {
-            const double arrays =
-                static_cast<double>(slices_ * rowTiles_ * colTiles_);
-            t_dac->events += 1;
-            t_dac->cycles += cfg_.dacApplyCycles;
-            t_dac->energy +=
-                static_cast<double>(active_rows[bit]) *
-                cfg_.rowDriveEnergyPJ * arrays;
-            t_array->events += 1;
-            t_array->cycles += cfg_.settleCycles;
-            t_array->energy += cfg_.arrayActivationEnergyPJ * arrays;
-            t_sh->events += 1;
-            t_sh->energy += static_cast<double>(cols) *
-                            cfg_.sampleHoldEnergyPJ *
-                            static_cast<double>(slices_ * rowTiles_);
-        }
-
         const bool negate = negative && bit == input_bits - 1;
         for (int s = 0; s < slices_; ++s) {
             for (std::size_t g = 0; g < groups_.size(); ++g) {
                 // Conversions serialize on the shared ADCs.
                 const Cycle conv_start = std::max(adc_free, sampled);
-                const Cycle conv_done = conv_start + conv_cycles;
-                adc_free = conv_done;
-                schedule.push_back(
-                    {bit + s * bitsPerCell_, negate, conv_start,
-                     conv_done});
-                if (tally_ != nullptr) {
-                    t_adc->events += 1;
-                    t_adc->cycles += conv_done - conv_start;
-                    t_adc->energy += conv_energy;
-                }
+                adc_free = conv_start + conversionCycles_;
+                plan.push_back({bit + s * bitsPerCell_, negate,
+                                conv_start, adc_free});
+            }
+        }
+    }
+    return plan;
+}
+
+const ConversionPlan &
+Ace::beginMvm(const std::vector<i64> &x, int input_bits)
+{
+    if (!hasMatrix())
+        darth_fatal("Ace: MVM with no matrix programmed");
+    if (x.size() != matrix_.rows())
+        darth_fatal("Ace: MVM input length ", x.size(),
+                    " != matrix rows ", matrix_.rows());
+    const bool negative = countPlaneRows(x, input_bits);
+
+    if (tally_ != nullptr) {
+        // Every plane drives and samples all arrays of all slices.
+        const double arrays =
+            static_cast<double>(slices_ * rowTiles_ * colTiles_);
+        const u64 planes = static_cast<u64>(input_bits);
+        CostEntry &dac = *dacEntry_.get(tally_);
+        CostEntry &array = *arrayEntry_.get(tally_);
+        CostEntry &sh = *shEntry_.get(tally_);
+        dac.events += planes;
+        dac.cycles += planes * cfg_.dacApplyCycles;
+        array.events += planes;
+        array.cycles += planes * cfg_.settleCycles;
+        sh.events += planes;
+        for (std::size_t active_rows : planeRows_) {
+            dac.energy += static_cast<double>(active_rows) *
+                          cfg_.rowDriveEnergyPJ * arrays;
+            array.energy += cfg_.arrayActivationEnergyPJ * arrays;
+            sh.energy += static_cast<double>(matrix_.cols()) *
+                         cfg_.sampleHoldEnergyPJ *
+                         static_cast<double>(slices_ * rowTiles_);
+        }
+    }
+
+    const std::size_t key =
+        2 * static_cast<std::size_t>(input_bits) + negative;
+    if (plans_.size() <= key)
+        plans_.resize(key + 1);
+    if (plans_[key].empty())
+        plans_[key] = buildPlan(input_bits, negative);
+    return plans_[key];
+}
+
+void
+Ace::conversionCodes(const std::vector<i64> &x, int input_bits,
+                     std::vector<i64> &codes)
+{
+    const std::size_t cols = matrix_.cols();
+    const bool exact = cfg_.noise.ideal();
+    codes.assign(static_cast<std::size_t>(input_bits) *
+                     static_cast<std::size_t>(slices_) * groups_.size() *
+                     cols,
+                 0);
+    i64 *values = codes.data();
+    for (int bit = 0; bit < input_bits; ++bit) {
+        for (int s = 0; s < slices_; ++s) {
+            for (const RowGroup &group : groups_) {
+                if (exact)
+                    addGroupCodes(x, bit, group, s, values);
+                else
+                    convertGroup(x, bit, s, group, values);
+                values += cols;
             }
         }
     }
@@ -315,32 +361,24 @@ Ace::scheduleConversions(int input_bits, bool negative,
 std::vector<PartialProduct>
 Ace::execMvm(const std::vector<i64> &x, int input_bits, Cycle start)
 {
-    if (!hasMatrix())
-        darth_fatal("Ace::execMvm: no matrix programmed");
-    if (x.size() != matrix_.rows())
-        darth_fatal("Ace::execMvm: input length ", x.size(),
-                    " != matrix rows ", matrix_.rows());
-
-    const bool negative = countPlaneRows(x, input_bits);
-    scheduleConversions(input_bits, negative, planeRows_.data(), start,
-                        schedule_);
-
-    const bool exact = cfg_.noise.ideal();
+    const ConversionPlan &plan = beginMvm(x, input_bits);
+    std::vector<i64> codes;
+    conversionCodes(x, input_bits, codes);
     const std::size_t cols = matrix_.cols();
-    std::vector<PartialProduct> stream;
-    stream.reserve(schedule_.size());
-    for (int bit = 0; bit < input_bits; ++bit) {
-        for (int s = 0; s < slices_; ++s) {
-            for (const RowGroup &group : groups_) {
-                PartialProduct pp;
-                static_cast<Conversion &>(pp) = schedule_[stream.size()];
-                pp.values.assign(cols, 0);
-                if (exact)
-                    addGroupCodes(x, bit, group, s, pp.values.data());
-                else
-                    convertGroup(x, bit, s, group, pp.values);
-                stream.push_back(std::move(pp));
-            }
+    CostEntry *adc = adcEntry_.get(tally_);
+    std::vector<PartialProduct> stream(plan.size());
+    for (std::size_t k = 0; k < plan.size(); ++k) {
+        PartialProduct &pp = stream[k];
+        static_cast<Conversion &>(pp) = plan[k];
+        pp.convStart += start;
+        pp.readyAt += start;
+        const auto first =
+            codes.begin() + static_cast<std::ptrdiff_t>(k * cols);
+        pp.values.assign(first, first + static_cast<std::ptrdiff_t>(cols));
+        if (adc != nullptr) {
+            adc->events += 1;
+            adc->cycles += conversionCycles_;
+            adc->energy += conversionEnergy_;
         }
     }
     return stream;
@@ -350,64 +388,56 @@ namespace
 {
 
 /**
- * acc[c] += x[r] * table[r][c] over the rows, each product and sum in
- * `Lane` arithmetic (wrapping when `Lane` is unsigned). Rows with a
- * zero input add nothing and are skipped.
+ * sum a[i]·b[i] in 32-bit arithmetic; the caller bounds every partial
+ * sum. Plain -O3 turns it into packed 16-bit multiply-adds.
  */
-template <typename Entry, typename Lane>
-void
-accumulateRows(const Entry *table, const std::vector<i64> &x,
-               std::size_t cols, Lane *__restrict acc)
+i32
+dot16(const i16 *__restrict a, const i16 *__restrict b, std::size_t n)
 {
-    for (std::size_t r = 0; r < x.size(); ++r) {
-        if (x[r] == 0)
-            continue;
-        const Entry xr = static_cast<Entry>(x[r]);
-        const Entry *const __restrict row = table + r * cols;
-        for (std::size_t c = 0; c < cols; ++c)
-            acc[c] += static_cast<Lane>(xr) * static_cast<Lane>(row[c]);
-    }
+    i32 sum = 0;
+    for (std::size_t i = 0; i < n; ++i)
+        sum += static_cast<i32>(a[i]) * static_cast<i32>(b[i]);
+    return sum;
 }
 
 } // namespace
 
 void
-Ace::execMvmExact(const std::vector<i64> &x, int input_bits, Cycle start,
-                  std::vector<Conversion> &schedule,
+Ace::exactProduct(const std::vector<i64> &x, int input_bits,
                   std::vector<i64> &out, std::vector<i64> &last)
 {
-    if (!hasMatrix())
-        darth_fatal("Ace::execMvmExact: no matrix programmed");
-    if (x.size() != matrix_.rows())
-        darth_fatal("Ace::execMvmExact: input length ", x.size(),
-                    " != matrix rows ", matrix_.rows());
     if (!cfg_.noise.ideal())
-        darth_panic("Ace::execMvmExact: needs the ideal noise model");
-
-    const bool negative = countPlaneRows(x, input_bits);
-    scheduleConversions(input_bits, negative, planeRows_.data(), start,
-                        schedule);
+        darth_panic("Ace::exactProduct: needs the ideal noise model");
 
     // No conversion clamps, so the shift-and-add of every code is W·x.
     // When elements and inputs fit 16 bits and the worst-case sum fits
-    // 32, it is summed exactly in 32-bit lanes; otherwise in wrapping
-    // 64-bit lanes.
+    // 32, each column is one 16-bit dot product with 32-bit sums;
+    // otherwise rows add into wrapping 64-bit lanes, zero inputs
+    // skipped.
+    const std::size_t rows = matrix_.rows();
     const std::size_t cols = matrix_.cols();
     const int worst_bits =
         elementBits_ + input_bits +
-        static_cast<int>(std::bit_width(matrix_.rows() - 1)) + 1;
+        static_cast<int>(std::bit_width(rows - 1)) + 1;
     out.resize(cols);
-    if (!matrix16_.empty() && input_bits <= 15 && worst_bits <= 32) {
-        std::vector<i32> &acc = acc32_;
-        acc.assign(cols, 0);
-        accumulateRows(matrix16_.data(), x, cols, acc.data());
-        std::copy(acc.begin(), acc.end(), out.begin());
-    } else {
-        std::vector<u64> &acc = acc64_;
-        acc.assign(cols, 0);
-        accumulateRows(matrix_.data().data(), x, cols, acc.data());
+    if (!columns16_.empty() && input_bits <= 15 && worst_bits <= 32) {
+        x16_.resize(rows);
+        for (std::size_t r = 0; r < rows; ++r)
+            x16_[r] = static_cast<i16>(x[r]);
         for (std::size_t c = 0; c < cols; ++c)
-            out[c] = static_cast<i64>(acc[c]);
+            out[c] = dot16(columns16_.data() + c * rows, x16_.data(), rows);
+    } else {
+        acc64_.assign(cols, 0);
+        for (std::size_t r = 0; r < rows; ++r) {
+            if (x[r] == 0)
+                continue;
+            const u64 xr = static_cast<u64>(x[r]);
+            const i64 *const row = &matrix_(r, 0);
+            for (std::size_t c = 0; c < cols; ++c)
+                acc64_[c] += xr * static_cast<u64>(row[c]);
+        }
+        for (std::size_t c = 0; c < cols; ++c)
+            out[c] = static_cast<i64>(acc64_[c]);
     }
 
     // The last conversion: the top plane of the last slice over the

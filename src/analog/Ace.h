@@ -29,17 +29,22 @@
  *    Crossbar accepts, so nearbyint() lands on the integer. Row
  *    grouping keeps |sum| <= rowsPerGroup*max_cell <= maxCode(), so
  *    the ADC clamp never fires and the shift-and-add of the whole
- *    stream is exactly W·x. execMvmExact() therefore returns W·x as
- *    one integer product (16-bit operands and 32-bit sums when they
- *    fit), the conversion schedule (timing and reduction tags, no
- *    codes), and the codes of the last conversion only: the value a
- *    DCE stages last. execMvm() still emits every code, slicing the
- *    stored matrix on the fly, for the callers that reduce partial
- *    products one by one. No Crossbar is built.
+ *    stream is exactly W·x. exactProduct() therefore returns W·x as
+ *    one integer product (a 16-bit dot product per column over a
+ *    column-major copy of the matrix when operands and sums fit) and
+ *    the codes of the last conversion only: the value a DCE stages
+ *    last. execMvm() still emits every code, for the callers that
+ *    reduce partial products one by one. No Crossbar is built and the
+ *    matrix is never sliced.
  *  - Crossbar path, for every other noise model. Programming noise,
  *    stuck-at cells, drift and wire resistance move conductances even
  *    when reads are deterministic, so each code comes from a
- *    Crossbar solve and Adc::convert(), and only execMvm() applies.
+ *    Crossbar solve and Adc::convert() (conversionCodes()).
+ *
+ * On both paths a conversion's timing depends only on the programmed
+ * shape, the input width and whether the top plane subtracts, never
+ * on the input values, so beginMvm() hands out one cached conversion
+ * plan per (input_bits, sign), relative to the MVM's analog start.
  */
 
 #ifndef DARTH_ANALOG_ACE_H
@@ -114,6 +119,12 @@ struct Conversion
     Cycle readyAt = 0;
 };
 
+/**
+ * The conversions of one MVM shape in stream order, with convStart and
+ * readyAt as offsets from the MVM's analog start.
+ */
+using ConversionPlan = std::vector<Conversion>;
+
 /** One ADC-digitized partial product vector with its reduction tag. */
 struct PartialProduct : Conversion
 {
@@ -165,7 +176,8 @@ class Ace
 
     /**
      * Bit-serial MVM: returns the partial-product stream, ordered by
-     * readyAt. The caller (HCT) reduces it in the DCE.
+     * readyAt, with every tally charge. The caller (HCT) reduces it in
+     * the DCE.
      *
      * @param x           Signed input vector (length = matrix rows).
      * @param input_bits  Two's complement input width.
@@ -175,18 +187,40 @@ class Ace
                                         int input_bits, Cycle start);
 
     /**
-     * The exact path's MVM without a partial-product stream (ideal
-     * noise model only; panics otherwise). Makes sliceInput()'s range
-     * checks and charges the tally exactly as execMvm() would.
-     *
-     * @param schedule  Receives the conversions execMvm() would
-     *                  emit, in stream order, without their codes.
-     * @param out       Receives y = W·x (mod 2^64).
-     * @param last      Receives the codes of the final conversion.
+     * An MVM without a partial-product stream, for a caller that
+     * reduces it in place: one pass over `x` checks its length and
+     * sliceInput()'s range and counts each plane's active rows, the
+     * per-plane entries (ace.dac, ace.array, ace.sh) are charged, and
+     * the MVM's conversion plan is returned, built at the first MVM
+     * of its (input_bits, sign) and kept until setMatrix(). The caller
+     * charges ace.adc once per conversion (conversionCycles(),
+     * conversionEnergy()) and takes the values from exactProduct() or
+     * conversionCodes().
      */
-    void execMvmExact(const std::vector<i64> &x, int input_bits,
-                      Cycle start, std::vector<Conversion> &schedule,
+    const ConversionPlan &beginMvm(const std::vector<i64> &x,
+                                   int input_bits);
+
+    /** Cycles and energy each conversion charges to ace.adc. */
+    Cycle conversionCycles() const { return conversionCycles_; }
+    double conversionEnergy() const { return conversionEnergy_; }
+
+    /**
+     * The exact path's values of an MVM beginMvm() admitted (ideal
+     * noise model only; panics otherwise). Charges nothing.
+     *
+     * @param out   Receives y = W·x (mod 2^64).
+     * @param last  Receives the codes of the final conversion.
+     */
+    void exactProduct(const std::vector<i64> &x, int input_bits,
                       std::vector<i64> &out, std::vector<i64> &last);
+
+    /**
+     * Every code of an MVM beginMvm() admitted, on either path:
+     * codes[k * cols + c] for conversion k of the plan. Charges
+     * nothing.
+     */
+    void conversionCodes(const std::vector<i64> &x, int input_bits,
+                         std::vector<i64> &codes);
 
     /** Exact integer reference of the full MVM (tests). */
     std::vector<i64> referenceMvm(const std::vector<i64> &x) const;
@@ -199,11 +233,8 @@ class Ace
     /** Crossbar holding (slice s, row tile rt, col tile ct). */
     Crossbar &xbar(int s, std::size_t rt, std::size_t ct);
 
-    /**
-     * Program the integer tables (ideal noise) or the crossbars
-     * (otherwise) from sliceSignedMatrix(matrix_) output.
-     */
-    void reprogramAll(const std::vector<MatrixI> &slices);
+    /** Build the crossbars from sliceSignedMatrix(matrix_) output. */
+    void programCrossbars(const std::vector<MatrixI> &slices);
 
     /** One row group of one row tile (rows relative to the tile). */
     struct RowGroup
@@ -214,18 +245,16 @@ class Ace
     };
 
     /**
-     * The conversion schedule of an MVM whose plane `bit` drives
-     * active_rows[bit] wordlines: one conversion per (plane, slice,
-     * row group) in stream order, with every tally charge.
+     * The conversion plan of an MVM of `input_bits` planes: one
+     * conversion per (plane, slice, row group) in stream order,
+     * serialized on the shared ADCs.
      */
-    void scheduleConversions(int input_bits, bool negative,
-                             const std::size_t *active_rows, Cycle start,
-                             std::vector<Conversion> &schedule);
+    ConversionPlan buildPlan(int input_bits, bool negative) const;
 
     /**
-     * Count the active rows of every input plane into planeRows_,
-     * after sliceInput()'s range checks; true when the top plane
-     * subtracts.
+     * sliceInput()'s range checks and the active rows of every input
+     * plane, into planeRows_, in one pass over `x`; true when the top
+     * plane subtracts.
      */
     bool countPlaneRows(const std::vector<i64> &x, int input_bits);
 
@@ -236,9 +265,9 @@ class Ace
     void addGroupCodes(const std::vector<i64> &x, int bit,
                        const RowGroup &group, int s, i64 *sums) const;
 
-    /** Crossbar path: one conversion's codes. */
+    /** Crossbar path: one conversion's codes into values[0..cols). */
     void convertGroup(const std::vector<i64> &x, int bit, int s,
-                      const RowGroup &group, std::vector<i64> &values);
+                      const RowGroup &group, i64 *values);
 
     AceConfig cfg_;
     CostTally *tally_;
@@ -258,14 +287,21 @@ class Ace
     std::vector<RowGroup> groups_;
     /** Effective ramp sweep length (see rampSweepStates()). */
     Cycle rampSweepStates_ = 0;
-    /** Exact path: the matrix row-major in 16 bits, when it fits. */
-    std::vector<i16> matrix16_;
-    /** Scratch: per-plane active rows, and execMvm's schedule. */
+    /** Per-conversion ace.adc charge at this operating point. */
+    Cycle conversionCycles_ = 0;
+    double conversionEnergy_ = 0.0;
+    /** plans_[2 * input_bits + negative]; empty until first used. */
+    std::vector<ConversionPlan> plans_;
+    /** Exact path: the matrix column-major in 16 bits, when it fits. */
+    std::vector<i16> columns16_;
+    /** Scratch: per-plane active rows, 16-bit inputs, 64-bit lanes. */
     std::vector<std::size_t> planeRows_;
-    std::vector<Conversion> schedule_;
-    /** Exact path scratch: W·x lanes, 32- or 64-bit. */
-    std::vector<i32> acc32_;
+    std::vector<i16> x16_;
     std::vector<u64> acc64_;
+    CostHandle dacEntry_{"ace.dac"};
+    CostHandle arrayEntry_{"ace.array"};
+    CostHandle shEntry_{"ace.sh"};
+    CostHandle adcEntry_{"ace.adc"};
     /** Crossbar path: one array per (slice, row tile, col tile). */
     std::vector<std::unique_ptr<Crossbar>> xbars_;
     /** Crossbar path scratch, reused across every solve. */

@@ -17,11 +17,21 @@ numSlices(int element_bits, int bits_per_cell)
     return (element_bits + bits_per_cell - 1) / bits_per_cell;
 }
 
+void
+checkMatrixRange(const MatrixI &m, int element_bits)
+{
+    const i64 limit = i64{1} << element_bits;
+    for (i64 v : m.data())
+        if (std::abs(v) >= limit)
+            darth_fatal("sliceSignedMatrix: |", v, "| exceeds ",
+                        element_bits, "-bit magnitude");
+}
+
 std::vector<MatrixI>
 sliceSignedMatrix(const MatrixI &m, int element_bits, int bits_per_cell)
 {
     const int slices = numSlices(element_bits, bits_per_cell);
-    const i64 limit = i64{1} << element_bits;
+    checkMatrixRange(m, element_bits);
 
     std::vector<MatrixI> out(
         static_cast<std::size_t>(slices),
@@ -29,9 +39,6 @@ sliceSignedMatrix(const MatrixI &m, int element_bits, int bits_per_cell)
     for (std::size_t r = 0; r < m.rows(); ++r) {
         for (std::size_t c = 0; c < m.cols(); ++c) {
             const i64 v = m(r, c);
-            if (std::abs(v) >= limit)
-                darth_fatal("sliceSignedMatrix: |", v, "| exceeds ",
-                            element_bits, "-bit magnitude");
             for (int s = 0; s < slices; ++s)
                 out[static_cast<std::size_t>(s)](r, c) =
                     sliceElement(v, s, bits_per_cell);
@@ -62,17 +69,19 @@ checkInputRange(const std::vector<i64> &x, int input_bits)
     if (input_bits <= 0 || input_bits > 63)
         darth_fatal("sliceInput: input_bits must be in [1, 63]");
     const i64 lo = -(i64{1} << (input_bits - 1));
-    const i64 hi = (i64{1} << (input_bits - 1)) - 1;
     const bool any_negative = [&x] {
         for (i64 v : x)
             if (v < 0)
                 return true;
         return false;
     }();
+    // The largest value: two's complement when any is negative, else
+    // unsigned (2^63 - 1 at 63 bits, so compared as u64).
+    const u64 hi = any_negative ? (u64{1} << (input_bits - 1)) - 1
+                                : (u64{1} << input_bits) - 1;
 
     for (i64 v : x)
-        if (v < lo || (any_negative ? v > hi
-                                    : v >= (i64{1} << input_bits)))
+        if (v < lo || (v > 0 && static_cast<u64>(v) > hi))
             darth_fatal("sliceInput: ", v, " outside ", input_bits,
                         "-bit range");
     return any_negative;

@@ -32,6 +32,12 @@ namespace analog
 int numSlices(int element_bits, int bits_per_cell);
 
 /**
+ * The range check of sliceSignedMatrix(): every |element| must be
+ * below 2^element_bits (fatal otherwise).
+ */
+void checkMatrixRange(const MatrixI &m, int element_bits);
+
+/**
  * Slice a signed matrix into per-cell code matrices.
  *
  * @param m             Signed elements, |m| < 2^element_bits.

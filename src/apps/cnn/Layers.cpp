@@ -40,31 +40,33 @@ Conv2d::im2colPatches(const Tensor &input) const
     const std::size_t out_w = outSize(input.width());
     const std::size_t k_elems = cin_ * kernel_ * kernel_;
 
+    // im2col: gather each receptive field (Toeplitz row), reading the
+    // CHW data directly; padding positions stay zero.
+    const auto in_h = static_cast<i64>(input.height());
+    const auto in_w = static_cast<i64>(input.width());
+    const auto kernel = static_cast<i64>(kernel_);
+    const i32 *const data = input.data().data();
     std::vector<std::vector<i64>> patches;
     patches.reserve(out_h * out_w);
     for (std::size_t oy = 0; oy < out_h; ++oy) {
         for (std::size_t ox = 0; ox < out_w; ++ox) {
-            // im2col: gather the receptive field (Toeplitz row).
-            std::vector<i64> patch(k_elems);
-            std::size_t idx = 0;
+            const i64 y0 = static_cast<i64>(oy * stride_) -
+                           static_cast<i64>(pad_);
+            const i64 x0 = static_cast<i64>(ox * stride_) -
+                           static_cast<i64>(pad_);
+            std::vector<i64> patch(k_elems, 0);
+            i64 *out = patch.data();
             for (std::size_t ic = 0; ic < cin_; ++ic) {
-                for (std::size_t ky = 0; ky < kernel_; ++ky) {
-                    for (std::size_t kx = 0; kx < kernel_; ++kx) {
-                        const i64 y = static_cast<i64>(oy * stride_ +
-                                                       ky) -
-                                      static_cast<i64>(pad_);
-                        const i64 x = static_cast<i64>(ox * stride_ +
-                                                       kx) -
-                                      static_cast<i64>(pad_);
-                        patch[idx++] =
-                            (y < 0 ||
-                             y >= static_cast<i64>(input.height()) ||
-                             x < 0 ||
-                             x >= static_cast<i64>(input.width()))
-                                ? 0
-                                : input.at(ic,
-                                           static_cast<std::size_t>(y),
-                                           static_cast<std::size_t>(x));
+                const i32 *const plane =
+                    data + ic * input.height() * input.width();
+                for (i64 y = y0; y < y0 + kernel; ++y, out += kernel) {
+                    if (y < 0 || y >= in_h)
+                        continue;
+                    const i32 *const row = plane + y * in_w;
+                    for (i64 kx = 0; kx < kernel; ++kx) {
+                        const i64 x = x0 + kx;
+                        if (x >= 0 && x < in_w)
+                            out[kx] = row[x];
                     }
                 }
             }

@@ -60,10 +60,10 @@ class CostTally
     /**
      * Direct handle to a category's accumulator (created if absent).
      * Hot paths that charge the same category millions of times cache
-     * this pointer to skip the per-add string construction and map
-     * walk; std::map node addresses are stable, so the handle stays
-     * valid until clear(). Revalidate against generation() before
-     * each use — clear() destroys the nodes and bumps it.
+     * this pointer (CostHandle) to skip the per-add string
+     * construction and map walk; std::map node addresses are stable,
+     * so the handle stays valid until clear(), which destroys the
+     * nodes and bumps generation().
      */
     CostEntry &entry(const std::string &category)
     {
@@ -142,6 +142,37 @@ class CostTally
   private:
     std::map<std::string, CostEntry> entries_;
     u64 generation_ = 0;
+};
+
+/**
+ * One category's CostTally::entry() handle, resolved again only when
+ * the tally's generation moves: for components that charge the same
+ * category on every MVM.
+ */
+class CostHandle
+{
+  public:
+    explicit CostHandle(const char *category) : category_(category) {}
+
+    /** The category's accumulator in `tally`; null when `tally` is. */
+    CostEntry *
+    get(CostTally *tally)
+    {
+        if (tally == nullptr)
+            return nullptr;
+        if (tally != tally_ || generation_ != tally->generation()) {
+            tally_ = tally;
+            generation_ = tally->generation();
+            entry_ = &tally->entry(category_);
+        }
+        return entry_;
+    }
+
+  private:
+    const char *category_;
+    CostTally *tally_ = nullptr;
+    u64 generation_ = 0;
+    CostEntry *entry_ = nullptr;
 };
 
 /** Geometric mean of a list of positive ratios (1.0 for empty input). */

@@ -212,36 +212,23 @@ void
 Pipeline::recordOps(u64 column_ops)
 {
     opCount_ += column_ops;
-    if (tally_ == nullptr)
+    CostEntry *boolop = boolopEntry_.get(tally_);
+    if (boolop == nullptr)
         return;
-    if (tallyGen_ != tally_->generation()) {
-        tallyGen_ = tally_->generation();
-        boolopEntry_ = nullptr;
-        ioEntry_ = nullptr;
-    }
-    if (boolopEntry_ == nullptr)
-        boolopEntry_ = &tally_->entry("dce.boolop");
-    boolopEntry_->events += column_ops;
-    boolopEntry_->cycles += column_ops;
-    boolopEntry_->energy +=
-        static_cast<double>(column_ops) * cfg_.opEnergyPJ;
+    boolop->events += column_ops;
+    boolop->cycles += column_ops;
+    boolop->energy += static_cast<double>(column_ops) * cfg_.opEnergyPJ;
 }
 
 void
 Pipeline::recordIo(u64 accesses)
 {
-    if (tally_ == nullptr)
+    CostEntry *io = ioEntry_.get(tally_);
+    if (io == nullptr)
         return;
-    if (tallyGen_ != tally_->generation()) {
-        tallyGen_ = tally_->generation();
-        boolopEntry_ = nullptr;
-        ioEntry_ = nullptr;
-    }
-    if (ioEntry_ == nullptr)
-        ioEntry_ = &tally_->entry("dce.io");
-    ioEntry_->events += accesses;
-    ioEntry_->cycles += accesses;
-    ioEntry_->energy += static_cast<double>(accesses) * cfg_.ioEnergyPJ;
+    io->events += accesses;
+    io->cycles += accesses;
+    io->energy += static_cast<double>(accesses) * cfg_.ioEnergyPJ;
 }
 
 Cycle
@@ -330,6 +317,18 @@ Cycle
 Pipeline::timeMacroRun(MacroKind kind, std::size_t bits,
                        const Cycle *issues, std::size_t count)
 {
+    const Cycle w = cachedEntry(kind).program.opCount();
+    Cycle from_issue = 0;
+    for (std::size_t k = 0; k < count; ++k)
+        from_issue = std::max(from_issue,
+                              issues[k] + w * (count - 1 - k));
+    return timeMacroRun(kind, bits, from_issue, count);
+}
+
+Cycle
+Pipeline::timeMacroRun(MacroKind kind, std::size_t bits,
+                       Cycle from_issue, std::size_t count)
+{
     if (count == 0 || bits == 0 || bits > cfg_.depth)
         darth_panic("Pipeline::timeMacroRun: ", count, " macros over ",
                     bits, " bits (depth ", cfg_.depth, ")");
@@ -347,10 +346,6 @@ Pipeline::timeMacroRun(MacroKind kind, std::size_t bits,
     // D(K-1, i) = max(from_issue + w(i+1), from_stage(i) + wK), with
     // from_issue = max_k(I_k + w(K-1-k)) and
     // from_stage(i) = max_{i' <= i}(S_i' + w(i-i')).
-    Cycle from_issue = 0;
-    for (std::size_t k = 0; k < count; ++k)
-        from_issue = std::max(from_issue,
-                              issues[k] + w * (count - 1 - k));
     const Cycle run = w * count;
     Cycle from_stage = 0;
     for (std::size_t i = 0; i < bits; ++i) {

@@ -139,6 +139,15 @@ class Pipeline
                        const Cycle *issues, std::size_t count);
 
     /**
+     * timeMacroRun() with the issue cycles already folded into
+     * from_issue = max_k(issues[k] + w·(count-1-k)), w the macro's ops
+     * per stage: O(bits), for a caller that issues runs of one shape
+     * again and again and folds its issue offsets once.
+     */
+    Cycle timeMacroRun(MacroKind kind, std::size_t bits,
+                       Cycle from_issue, std::size_t count);
+
+    /**
      * Logical shift of bit positions by k (up = toward MSB,
      * multiply by 2^k). Implemented with the inter-array transfer
      * buffers: two accesses per stage, chained along the pipeline.
@@ -277,12 +286,10 @@ class Pipeline
     std::vector<const KernelCache::Entry *> entries_;
     u64 opCount_ = 0;
 
-    /** Cached tally accumulators (see CostTally::entry); revalidated
-     *  against the tally generation because KernelModel clears its
+    /** Tally accumulators, resolved again when KernelModel clears its
      *  scratch tallies between measured shapes. */
-    CostEntry *boolopEntry_ = nullptr;
-    CostEntry *ioEntry_ = nullptr;
-    u64 tallyGen_ = 0;
+    CostHandle boolopEntry_{"dce.boolop"};
+    CostHandle ioEntry_{"dce.io"};
 };
 
 } // namespace digital

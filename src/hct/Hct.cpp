@@ -114,13 +114,17 @@ Hct::allocVACore(int element_bits, int bits_per_cell)
 void
 Hct::setMatrix(const MatrixI &m, int element_bits, int bits_per_cell)
 {
-    allocVACore(element_bits, bits_per_cell);
-    ace_.setMatrix(m, element_bits, bits_per_cell);
-    analogEnabled_ = true;
-    const std::size_t pipes_needed = reductionPipes();
+    // Checked before anything changes: a rejected matrix leaves the
+    // tile (matrix, vACore, plans) as it was.
+    const std::size_t width = cfg_.dce.pipeline.width;
+    const std::size_t pipes_needed = (m.cols() + width - 1) / width;
     if (pipes_needed > dce_.numPipelines())
         darth_fatal("Hct::setMatrix: reduction needs ", pipes_needed,
                     " pipelines but the DCE has ", dce_.numPipelines());
+    ace_.setMatrix(m, element_bits, bits_per_cell);
+    allocVACore(element_bits, bits_per_cell);
+    analogEnabled_ = true;
+    plans_.clear();
 }
 
 std::size_t
@@ -162,12 +166,90 @@ Hct::execMvm(const std::vector<i64> &x, int input_bits, Cycle start)
     return result;
 }
 
+const Hct::ReductionPlan &
+Hct::reductionPlan(int input_bits,
+                   const analog::ConversionPlan &conversions)
+{
+    const std::size_t key = 2 * static_cast<std::size_t>(input_bits) +
+                            conversions.back().negate;
+    if (plans_.size() <= key)
+        plans_.resize(key + 1);
+    ReductionPlan &plan = plans_[key];
+    if (plan.count != 0)
+        return plan;
+
+    const std::size_t cols = ace_.matrix().cols();
+    const std::size_t width = cfg_.dce.pipeline.width;
+    auto &kernels = digital::KernelCache::instance();
+    const u64 add_ops = kernels.macro(digital::MacroKind::Add,
+                                      cfg_.dce.pipeline.family)
+                            .program.opCount();
+    const u64 sub_ops = kernels.macro(digital::MacroKind::Sub,
+                                      cfg_.dce.pipeline.family)
+                            .program.opCount();
+    plan.accBits = accumulatorBits(input_bits);
+    plan.addOps = add_ops * static_cast<u64>(plan.accBits);
+    plan.subOps = sub_ops * static_cast<u64>(plan.accBits);
+    plan.count = conversions.size();
+    plan.lastShift = conversions.back().shift;
+    plan.setup = iiu_.sequenceSetup();
+    for (const analog::Conversion &conv : conversions) {
+        const auto kind =
+            conv.negate ? digital::MacroKind::Sub : digital::MacroKind::Add;
+        if (plan.runs.empty() || plan.runs.back().kind != kind)
+            plan.runs.push_back({kind, 0});
+        ++plan.runs.back().count;
+        plan.subs += conv.negate;
+    }
+
+    // Per pipeline, each code streams over the network into DCE rows,
+    // one row per cycle, overlapped with the conversion window (the
+    // transpose unit turns the analog row vector into column elements
+    // on the fly; without it the DCE copies element by element). The
+    // ADD/SUB issues when its row has landed, after the front end's
+    // expansion delay when there is no IIU.
+    const Cycle overhead = iiu_.issueOverhead(plan.addOps);
+    const u64 adc_bytes = (static_cast<u64>(cfg_.ace.adc.bits) + 7) / 8;
+    for (std::size_t p = 0; p < reductionPipes(); ++p) {
+        const std::size_t n = std::min(width, cols - p * width);
+        const Cycle copies =
+            cfg_.transpose.enabled
+                ? 0
+                : transpose_.transposeCost(
+                      1, n, static_cast<std::size_t>(plan.accBits));
+        Cycle port_free = plan.setup;
+        std::size_t k = 0;
+        for (const ReductionPlan::Run &run : plan.runs) {
+            const Cycle w = run.kind == digital::MacroKind::Sub ? sub_ops
+                                                                : add_ops;
+            Cycle from_issue = 0;
+            for (std::size_t j = 0; j < run.count; ++j, ++k) {
+                const analog::Conversion &conv = conversions[k];
+                const Cycle write_begin =
+                    std::max(port_free, conv.convStart);
+                port_free = std::max(conv.readyAt,
+                                     write_begin + static_cast<Cycle>(n)) +
+                            copies;
+                from_issue = std::max(from_issue, port_free + overhead +
+                                                      w * (run.count - 1 - j));
+            }
+            plan.fromIssue.push_back(from_issue);
+        }
+        plan.networkEnergy.push_back(static_cast<double>(n * adc_bytes) *
+                                     cfg_.networkEnergyPerBytePJ);
+    }
+    return plan;
+}
+
 Cycle
 Hct::reduceWithShiftUnits(const std::vector<i64> &x, int input_bits,
                           Cycle analog_start, std::vector<i64> &values)
 {
+    const analog::ConversionPlan &conversions =
+        ace_.beginMvm(x, input_bits);
+    const ReductionPlan &plan = reductionPlan(input_bits, conversions);
     const std::size_t cols = ace_.matrix().cols();
-    const int acc_bits = accumulatorBits(input_bits);
+    const int acc_bits = plan.accBits;
     const u64 mask = (u64{1} << acc_bits) - 1;
 
     // --- Values. The shift units land each code pre-shifted, and the
@@ -177,24 +259,25 @@ Hct::reduceWithShiftUnits(const std::vector<i64> &x, int input_bits,
     // only the crossbar path needs the codes one by one.
     accWords_.resize(cols);
     if (ace_.config().noise.ideal()) {
-        ace_.execMvmExact(x, input_bits, analog_start, schedule_,
-                          values, lastCodes_);
+        ace_.exactProduct(x, input_bits, values, lastCodes_);
         for (std::size_t c = 0; c < cols; ++c)
             accWords_[c] = static_cast<u64>(values[c]) & mask;
     } else {
-        const auto stream = ace_.execMvm(x, input_bits, analog_start);
-        schedule_.assign(stream.begin(), stream.end());
+        ace_.conversionCodes(x, input_bits, codes_);
         std::fill(accWords_.begin(), accWords_.end(), u64{0});
-        for (const auto &pp : stream) {
+        for (std::size_t k = 0; k < plan.count; ++k) {
+            const analog::Conversion &conv = conversions[k];
+            const i64 *const code = codes_.data() + k * cols;
             for (std::size_t c = 0; c < cols; ++c) {
                 const u64 staged =
-                    static_cast<u64>(pp.values[c] << pp.shift) & mask;
-                accWords_[c] = (pp.negate ? accWords_[c] - staged
-                                          : accWords_[c] + staged) &
+                    static_cast<u64>(code[c] << conv.shift) & mask;
+                accWords_[c] = (conv.negate ? accWords_[c] - staged
+                                            : accWords_[c] + staged) &
                                mask;
             }
         }
-        lastCodes_ = stream.back().values;
+        lastCodes_.assign(codes_.end() - static_cast<std::ptrdiff_t>(cols),
+                          codes_.end());
     }
     ++mvmCount_;
     values.resize(cols);
@@ -202,66 +285,28 @@ Hct::reduceWithShiftUnits(const std::vector<i64> &x, int input_bits,
         values[c] = signExtend(accWords_[c], acc_bits);
     // The staging register keeps the last partial product.
     stagedWords_.resize(cols);
-    const int last_shift = schedule_.back().shift;
     for (std::size_t c = 0; c < cols; ++c)
         stagedWords_[c] =
-            static_cast<u64>(lastCodes_[c] << last_shift) & mask;
+            static_cast<u64>(lastCodes_[c] << plan.lastShift) & mask;
 
-    // --- Timing. Per pipeline, each code streams over the network
-    // into DCE rows, one row per cycle, overlapped with the conversion
-    // window (the transpose unit turns the analog row vector into
-    // column elements on the fly; without it the DCE copies element
-    // by element). The ADD/SUB issues when its row has landed, after
-    // the front end's expansion delay when there is no IIU, and the
-    // stage clocks advance in closed form per run of equal macros.
+    // --- Timing. The plan holds every issue relative to the analog
+    // start; each pipeline's stage clocks advance in closed form per
+    // run of equal macros.
     const std::size_t width = cfg_.dce.pipeline.width;
-    const std::size_t n_pipes = reductionPipes();
-    const std::size_t count = schedule_.size();
-    const u64 add_ops =
-        digital::KernelCache::instance()
-            .macro(digital::MacroKind::Add, cfg_.dce.pipeline.family)
-            .program.opCount();
-    const u64 sub_ops =
-        digital::KernelCache::instance()
-            .macro(digital::MacroKind::Sub, cfg_.dce.pipeline.family)
-            .program.opCount();
-    const u64 uops_per_add = add_ops * static_cast<u64>(acc_bits);
-    const Cycle overhead = iiu_.issueOverhead(uops_per_add);
-    const Cycle setup = analog_start + iiu_.sequenceSetup();
-    Cycle done = setup;
-    issues_.resize(count);
+    const std::size_t n_pipes = plan.networkEnergy.size();
+    const std::size_t n_runs = plan.runs.size();
+    Cycle done = analog_start + plan.setup;
     for (std::size_t p = 0; p < n_pipes; ++p) {
         const std::size_t c0 = p * width;
         const std::size_t n = std::min(width, cols - c0);
-        const Cycle copies =
-            cfg_.transpose.enabled
-                ? 0
-                : transpose_.transposeCost(
-                      1, n, static_cast<std::size_t>(acc_bits));
-        Cycle port_free = setup;
-        for (std::size_t k = 0; k < count; ++k) {
-            const analog::Conversion &conv = schedule_[k];
-            const Cycle write_begin = std::max(port_free, conv.convStart);
-            port_free =
-                std::max(conv.readyAt,
-                         write_begin + static_cast<Cycle>(n)) +
-                copies;
-            issues_[k] = port_free + overhead;
-        }
         digital::Pipeline &pipe = dce_.pipeline(p);
-        for (std::size_t k0 = 0; k0 < count;) {
-            std::size_t k1 = k0 + 1;
-            while (k1 < count &&
-                   schedule_[k1].negate == schedule_[k0].negate)
-                ++k1;
+        for (std::size_t r = 0; r < n_runs; ++r)
             done = std::max(
                 done, pipe.timeMacroRun(
-                          schedule_[k0].negate ? digital::MacroKind::Sub
-                                               : digital::MacroKind::Add,
+                          plan.runs[r].kind,
                           static_cast<std::size_t>(acc_bits),
-                          issues_.data() + k0, k1 - k0));
-            k0 = k1;
-        }
+                          analog_start + plan.fromIssue[p * n_runs + r],
+                          plan.runs[r].count));
 
         // The register file keeps the accumulator and the last staged
         // value, transposed only if something reads them.
@@ -274,46 +319,50 @@ Hct::reduceWithShiftUnits(const std::vector<i64> &x, int input_bits,
     }
 
     // --- Charges, closed form where they are integers. The doubles
-    // take the per-partial-product addends in partial-product-major,
+    // take the per-conversion addends in conversion-major,
     // pipeline-minor order, so every sum is bit-identical to adding
-    // them one transfer and one macro at a time.
-    iiu_.recordInjected(cfg_.iiu.enabled ? count * n_pipes * uops_per_add
+    // them one conversion, transfer and macro at a time. The ACE
+    // leaves its per-conversion ace.adc charge to this loop.
+    const u64 count = plan.count;
+    iiu_.recordInjected(cfg_.iiu.enabled ? count * n_pipes * plan.addOps
                                          : 0);
     if (tally_ != nullptr) {
-        const u64 adc_bytes =
-            (static_cast<u64>(cfg_.ace.adc.bits) + 7) / 8;
-        const u64 add_column_ops = add_ops * static_cast<u64>(acc_bits);
-        const u64 sub_column_ops = sub_ops * static_cast<u64>(acc_bits);
-        const double add_energy = static_cast<double>(add_column_ops) *
-                                  cfg_.dce.pipeline.opEnergyPJ;
-        const double sub_energy = static_cast<double>(sub_column_ops) *
-                                  cfg_.dce.pipeline.opEnergyPJ;
-        CostEntry &network = tally_->entry("hct.network");
-        CostEntry &boolop = tally_->entry("dce.boolop");
-        double network_energy = network.energy;
-        double boolop_energy = boolop.energy;
-        u64 subs = 0;
-        for (std::size_t k = 0; k < count; ++k) {
-            const double macro_energy =
-                schedule_[k].negate ? sub_energy : add_energy;
-            subs += schedule_[k].negate;
-            for (std::size_t p = 0; p < n_pipes; ++p) {
-                network_energy +=
-                    static_cast<double>(std::min(width, cols - p * width) *
-                                        adc_bytes) *
-                    cfg_.networkEnergyPerBytePJ;
-                boolop_energy += macro_energy;
-            }
-        }
+        CostEntry &adc = *adcEntry_.get(tally_);
+        CostEntry &network = *networkEntry_.get(tally_);
+        CostEntry &boolop = *boolopEntry_.get(tally_);
+        adc.events += count;
+        adc.cycles += count * ace_.conversionCycles();
         network.events += count * n_pipes;
         network.cycles += count * cols;
-        network.energy = network_energy;
         const u64 column_ops =
-            ((count - subs) * add_column_ops + subs * sub_column_ops) *
+            ((count - plan.subs) * plan.addOps + plan.subs * plan.subOps) *
             n_pipes;
         boolop.events += column_ops;
         boolop.cycles += column_ops;
-        boolop.energy = boolop_energy;
+
+        const double adc_energy = ace_.conversionEnergy();
+        const double add_energy = static_cast<double>(plan.addOps) *
+                                  cfg_.dce.pipeline.opEnergyPJ;
+        const double sub_energy = static_cast<double>(plan.subOps) *
+                                  cfg_.dce.pipeline.opEnergyPJ;
+        double adc_sum = adc.energy;
+        double network_sum = network.energy;
+        double boolop_sum = boolop.energy;
+        for (const ReductionPlan::Run &run : plan.runs) {
+            const double macro_energy =
+                run.kind == digital::MacroKind::Sub ? sub_energy
+                                                    : add_energy;
+            for (std::size_t k = 0; k < run.count; ++k) {
+                adc_sum += adc_energy;
+                for (std::size_t p = 0; p < n_pipes; ++p) {
+                    network_sum += plan.networkEnergy[p];
+                    boolop_sum += macro_energy;
+                }
+            }
+        }
+        adc.energy = adc_sum;
+        network.energy = network_sum;
+        boolop.energy = boolop_sum;
     }
     return done;
 }

@@ -18,13 +18,16 @@
  * execMvm() runs the full Figure 9 walkthrough: bit-serial analog MVM,
  * partial-product transfer, and pipelined ADD/SUB reduction in the
  * DCE, returning bit-exact integer results in the ideal-noise
- * configuration. With shift units the reduction costs host work per
- * MVM, not per partial product: the accumulator is the integer sum of
- * the shifted codes (under ideal noise, one product W·x), each
- * pipeline's stage clocks advance in closed form over the conversion
- * schedule, and the accumulator and last staged value are held in the
- * register file untransposed until read. Without shift units every
- * partial product is staged, shifted and added in the DCE one by one.
+ * configuration. With shift units the reduction's host work does not
+ * grow with the number of conversions, except for one loop of energy
+ * additions: the accumulator is the integer sum of the shifted codes
+ * (under ideal noise, one product W·x); the ADC, network and DCE issue
+ * timing of an MVM is a fixed offset from its analog start, so it is
+ * planned once per (input width, sign) of the programmed matrix and
+ * each pipeline's stage clocks advance in closed form from that plan;
+ * and the accumulator and last staged value are held in the register
+ * file untransposed until read. Without shift units every partial
+ * product is staged, shifted and added in the DCE one by one.
  */
 
 #ifndef DARTH_HCT_HCT_H
@@ -169,7 +172,43 @@ class Hct
     /** Reduction pipelines needed for the current matrix. */
     std::size_t reductionPipes() const;
 
-    /** Shift-unit reduction: element-native sums, closed-form timing. */
+    /**
+     * The shift-unit reduction of one (input_bits, sign) of the
+     * programmed matrix, relative to the analog start.
+     */
+    struct ReductionPlan
+    {
+        int accBits = 0;
+        /** Conversions; how many subtract; the last one's shift. */
+        std::size_t count = 0;
+        std::size_t subs = 0;
+        int lastShift = 0;
+        /** The IIU's sequence setup: no macro completes before it. */
+        Cycle setup = 0;
+        /** Runs of equal macros, in stream order (every pipeline). */
+        struct Run
+        {
+            digital::MacroKind kind = digital::MacroKind::Add;
+            std::size_t count = 0;
+        };
+        std::vector<Run> runs;
+        /**
+         * fromIssue[p * runs.size() + r]: run r's issue cycles on
+         * pipeline p, folded as Pipeline::timeMacroRun() takes them.
+         */
+        std::vector<Cycle> fromIssue;
+        /** Per pipeline, one transfer's hct.network energy. */
+        std::vector<double> networkEnergy;
+        /** One ADD's and one SUB's dce.boolop column ops. */
+        u64 addOps = 0;
+        u64 subOps = 0;
+    };
+
+    /** The plan of this MVM, built at its shape's first MVM. */
+    const ReductionPlan &
+    reductionPlan(int input_bits, const analog::ConversionPlan &conversions);
+
+    /** Shift-unit reduction: element-native sums, planned timing. */
     Cycle reduceWithShiftUnits(const std::vector<i64> &x, int input_bits,
                                Cycle analog_start,
                                std::vector<i64> &values);
@@ -188,12 +227,16 @@ class Hct
     VACore vacore_;
     bool analogEnabled_ = true;
     u64 mvmCount_ = 0;
+    /** plans_[2 * input_bits + negative]; cleared by setMatrix(). */
+    std::vector<ReductionPlan> plans_;
     /** Shift-unit reduction scratch, reused across MVMs. */
-    std::vector<analog::Conversion> schedule_;
+    std::vector<i64> codes_;
     std::vector<i64> lastCodes_;
     std::vector<u64> accWords_;
     std::vector<u64> stagedWords_;
-    std::vector<Cycle> issues_;
+    CostHandle adcEntry_{"ace.adc"};
+    CostHandle networkEntry_{"hct.network"};
+    CostHandle boolopEntry_{"dce.boolop"};
 };
 
 } // namespace hct

@@ -309,16 +309,21 @@ Scheduler::executeAt(std::size_t index)
     bool first = true;
     bool pipelined = false;
     Cycle done = earliest;
+    std::vector<i64> sub_x;
     for (const auto &part : plan.parts) {
-        std::vector<i64> sub_x(
-            req.x.begin() + static_cast<std::ptrdiff_t>(part.row0),
-            req.x.begin() +
-                static_cast<std::ptrdiff_t>(part.row0 + part.numRows));
+        // A part over every row takes the request's input as it is.
+        const bool all_rows = part.numRows == req.x.size();
+        if (!all_rows)
+            sub_x.assign(
+                req.x.begin() + static_cast<std::ptrdiff_t>(part.row0),
+                req.x.begin() + static_cast<std::ptrdiff_t>(
+                                    part.row0 + part.numRows));
         const Cycle prev_busy = busyUntil_[part.hctIndex];
         const Cycle start =
             std::max(earliest, tileReady(part.hctIndex, pm));
-        auto part_result = chip_.hct(part.hctIndex)
-                               .execMvm(sub_x, req.inputBits, start);
+        auto part_result =
+            chip_.hct(part.hctIndex)
+                .execMvm(all_rows ? req.x : sub_x, req.inputBits, start);
         for (std::size_t c = 0; c < part.numCols; ++c)
             result.values[part.col0 + c] += part_result.values[c];
 

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "analog/BitSlicing.h"
 #include "common/Random.h"
 
@@ -108,6 +110,19 @@ TEST(BitSlicing, PlanesRecombineToExactMvm)
             exact += x[r] * m(r, c);
         EXPECT_EQ(via_planes[c], exact);
     }
+}
+
+TEST(BitSlicing, SixtyThreeBitInputsSpanTheUnsignedRange)
+{
+    // 63 unsigned bits hold every non-negative i64; with a negative
+    // value the range is two's complement again.
+    const i64 top = std::numeric_limits<i64>::max();
+    const auto planes = sliceInput({1, top}, 63);
+    ASSERT_EQ(planes.size(), 63u);
+    EXPECT_FALSE(planes[62].negate);
+    EXPECT_EQ(planes[62].bits, (std::vector<int>{0, 1}));
+    EXPECT_THROW((void)sliceInput({-1, i64{1} << 62}, 63),
+                 std::runtime_error);
 }
 
 TEST(BitSlicingDeath, OutOfRangeValueIsFatal)

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "apps/cnn/CnnMapper.h"
 #include "apps/cnn/Resnet20.h"
 #include "apps/cnn/TinyCnn.h"
@@ -50,37 +52,112 @@ TEST(Conv2d, StatsMatchShape)
     EXPECT_EQ(s.outputElems, 32ull * 16 * 16);
 }
 
-TEST(Conv2d, ForwardMatchesDirectConvolution)
+/** A 3 x 5 x 7 input of small signed activations. */
+Tensor
+borderInput(u64 seed)
 {
-    Rng rng(501);
-    Conv2d conv("c", 2, 3, 3, 1, 1);
-    conv.initRandom(rng);
-    conv.setRequantShift(0);
-    Tensor in(2, 4, 4);
+    Rng rng(seed);
+    Tensor in(3, 5, 7);
     for (auto &v : in.data())
         v = static_cast<i32>(rng.uniformInt(i64{-3}, i64{3}));
-    const Tensor out = conv.forward(in);
-    // Direct dense convolution cross-check at one position.
-    const auto &w = conv.weightMatrix();
-    for (std::size_t oc = 0; oc < 3; ++oc) {
-        i64 acc = 0;
-        std::size_t idx = 0;
-        for (std::size_t ic = 0; ic < 2; ++ic)
-            for (i64 ky = -1; ky <= 1; ++ky)
-                for (i64 kx = -1; kx <= 1; ++kx) {
-                    const i64 y = 1 + ky, x = 1 + kx;
-                    const i64 v =
-                        (y < 0 || y >= 4 || x < 0 || x >= 4)
-                            ? 0
-                            : in.at(ic, static_cast<std::size_t>(y),
-                                    static_cast<std::size_t>(x));
-                    acc += v * w(idx++, oc);
+    return in;
+}
+
+/** Input (c, y, x) with zero padding outside the tensor. */
+i64
+paddedAt(const Tensor &in, std::size_t c, i64 y, i64 x)
+{
+    if (y < 0 || y >= static_cast<i64>(in.height()) || x < 0 ||
+        x >= static_cast<i64>(in.width()))
+        return 0;
+    return in.at(c, static_cast<std::size_t>(y),
+                 static_cast<std::size_t>(x));
+}
+
+TEST(Conv2d, Im2colMatchesANaiveGatherAtTheBorders)
+{
+    const Tensor in = borderInput(502);
+    int layers = 0;
+    for (std::size_t kernel : {1, 3}) {
+        for (std::size_t stride : {1, 2}) {
+            for (std::size_t pad : {0, 1}) {
+                const Conv2d conv("c", 3, 2, kernel, stride, pad);
+                const std::size_t out_h = conv.outSize(5);
+                const std::size_t out_w = conv.outSize(7);
+                const auto patches = conv.im2colPatches(in);
+                ASSERT_EQ(patches.size(), out_h * out_w);
+                for (std::size_t oy = 0; oy < out_h; ++oy) {
+                    for (std::size_t ox = 0; ox < out_w; ++ox) {
+                        std::vector<i64> want;
+                        for (std::size_t ic = 0; ic < 3; ++ic)
+                            for (std::size_t ky = 0; ky < kernel; ++ky)
+                                for (std::size_t kx = 0; kx < kernel; ++kx)
+                                    want.push_back(paddedAt(
+                                        in, ic,
+                                        static_cast<i64>(oy * stride + ky) -
+                                            static_cast<i64>(pad),
+                                        static_cast<i64>(ox * stride + kx) -
+                                            static_cast<i64>(pad)));
+                        ASSERT_EQ(patches[oy * out_w + ox], want)
+                            << "kernel " << kernel << " stride " << stride
+                            << " pad " << pad << " at (" << oy << ", "
+                            << ox << ")";
+                    }
                 }
-        // forward adds bias then clamps.
-        const i64 expect = acc;
-        const i64 got = out.at(oc, 1, 1);
-        EXPECT_NEAR(static_cast<double>(got),
-                    static_cast<double>(expect), 8.0);
+                ++layers;
+            }
+        }
+    }
+    EXPECT_EQ(layers, 8);
+}
+
+TEST(Conv2d, ForwardMatchesDirectConvolution)
+{
+    // Every output element of every border case equals a direct
+    // convolution with bias, requantization shift and clamp. The bias
+    // is read back as the output of an all-zero input at shift 0.
+    const Tensor in = borderInput(501);
+    for (std::size_t kernel : {1, 3}) {
+        for (std::size_t stride : {1, 2}) {
+            for (std::size_t pad : {0, 1}) {
+                Rng rng(500 + 10 * kernel + 2 * stride + pad);
+                Conv2d conv("c", 3, 4, kernel, stride, pad);
+                conv.initRandom(rng);
+                conv.setRequantShift(0);
+                const Tensor bias = conv.forward(Tensor(3, 5, 7));
+                conv.setRequantShift(2);
+                const Tensor out = conv.forward(in);
+                const auto &w = conv.weightMatrix();
+                for (std::size_t oc = 0; oc < 4; ++oc) {
+                    for (std::size_t oy = 0; oy < out.height(); ++oy) {
+                        for (std::size_t ox = 0; ox < out.width(); ++ox) {
+                            i64 acc = 0;
+                            std::size_t idx = 0;
+                            for (std::size_t ic = 0; ic < 3; ++ic)
+                                for (std::size_t ky = 0; ky < kernel; ++ky)
+                                    for (std::size_t kx = 0; kx < kernel;
+                                         ++kx)
+                                        acc +=
+                                            paddedAt(
+                                                in, ic,
+                                                static_cast<i64>(
+                                                    oy * stride + ky) -
+                                                    static_cast<i64>(pad),
+                                                static_cast<i64>(
+                                                    ox * stride + kx) -
+                                                    static_cast<i64>(pad)) *
+                                            w(idx++, oc);
+                            const i64 want = std::clamp<i64>(
+                                (acc + bias.at(oc, oy, ox)) >> 2, -127, 127);
+                            ASSERT_EQ(out.at(oc, oy, ox), want)
+                                << "kernel " << kernel << " stride "
+                                << stride << " pad " << pad << " at (" << oc
+                                << ", " << oy << ", " << ox << ")";
+                        }
+                    }
+                }
+            }
+        }
     }
 }
 

@@ -219,6 +219,23 @@ TEST(Hct, AccumulatorWidthCoversWorstCase)
     EXPECT_LE(hct.accumulatorBits(4), 32);
 }
 
+TEST(Hct, RejectedMatrixLeavesTheTileAsItWas)
+{
+    // A matrix the ACE cannot hold (too many arrays) or the DCE cannot
+    // reduce (too many pipelines) leaves the old matrix, vACore and
+    // plans in place: an MVM after the rejection is still exact.
+    Hct hct(smallHct());
+    const MatrixI m = randomMatrix(8, 8, -31, 31, 91);
+    hct.setMatrix(m, 5, 1);
+    const std::vector<i64> x = randomVector(8, 0, 255, 92);
+    ASSERT_EQ(hct.execMvm(x, 8, 0).values, hct.ace().referenceMvm(x));
+    EXPECT_THROW(hct.setMatrix(MatrixI(64, 8, 1), 8, 1), std::runtime_error);
+    EXPECT_THROW(hct.setMatrix(MatrixI(8, 40, 1), 1, 1), std::runtime_error);
+    EXPECT_EQ(hct.vacore().elementBits, 5);
+    EXPECT_EQ(hct.ace().matrix(), m);
+    EXPECT_EQ(hct.execMvm(x, 8, 0).values, hct.ace().referenceMvm(x));
+}
+
 TEST(Hct, MvmCountIncrements)
 {
     Hct hct(smallHct());
@@ -516,6 +533,113 @@ TEST(HctReduction, WideOperandsSumExactly)
             << c.elementBits << "-bit elements, " << c.inputBits
             << "-bit inputs";
     }
+}
+
+TEST(HctReduction, CrossbarPathMatchesTheWalk)
+{
+    // Read noise sends the tile down the crossbar path: codes come
+    // from Crossbar solves one conversion at a time, and ace.adc must
+    // still be charged exactly once per conversion.
+    HctConfig cfg = smallHct();
+    cfg.ace.numArrays = 64;
+    cfg.ace.adc.bits = 5;
+    cfg.ace.noise.readSigma = 0.02;
+    const MatrixI m = randomMatrix(21, 19, -31, 31, 71);
+    for (bool is_signed : {false, true}) {
+        CostTally tally;
+        CostTally twin_tally;
+        Hct hct(cfg, &tally);
+        Hct twin(cfg, &twin_tally);
+        hct.setMatrix(m, 5, 2);
+        twin.setMatrix(m, 5, 2);
+        Rng rng(is_signed ? 73 : 72);
+        for (int round = 0; round < 3; ++round) {
+            std::vector<i64> x(21);
+            for (auto &v : x)
+                v = is_signed ? rng.uniformInt(i64{-8}, i64{7})
+                              : rng.uniformInt(i64{0}, i64{15});
+            const Cycle start = round == 0 ? 5 : 0;
+            const auto got = hct.execMvm(x, 4, start);
+            const auto want = walkReference(twin, twin_tally, x, 4, start);
+            ASSERT_EQ(got.values, want.values)
+                << "signed " << is_signed << " round " << round;
+            ASSERT_EQ(got.done, want.done)
+                << "signed " << is_signed << " round " << round;
+            ASSERT_TRUE(sameTally(tally, twin_tally))
+                << "signed " << is_signed << " round " << round;
+            ASSERT_TRUE(sameDce(hct, twin))
+                << "signed " << is_signed << " round " << round;
+            hct.arbiter().rebase(got.done / 2);
+            twin.arbiter().rebase(want.done / 2);
+        }
+    }
+}
+
+TEST(HctReduction, PlansFollowInputWidthSignAndReprogramming)
+{
+    // One tile interleaves every (input width, sign) twice, then is
+    // programmed with another shape, element width and bits per cell
+    // and does it again. A plan kept across setMatrix() or looked up
+    // under the wrong key moves a done cycle, a tally entry or a
+    // stage clock away from the walk.
+    HctConfig cfg = smallHct();
+    cfg.ace.numArrays = 64;
+    cfg.ace.adc.bits = 5;
+    struct Program
+    {
+        std::size_t rows;
+        std::size_t cols;
+        int elementBits;
+        int bitsPerCell;
+    };
+    const Program programs[] = {{21, 19, 5, 2}, {12, 9, 3, 1}};
+    CostTally tally;
+    CostTally twin_tally;
+    Hct hct(cfg, &tally);
+    Hct twin(cfg, &twin_tally);
+    Rng rng(81);
+    int mvms = 0;
+    for (const Program &prog : programs) {
+        const i64 wmax = (i64{1} << prog.elementBits) - 1;
+        const MatrixI m = randomMatrix(prog.rows, prog.cols, -wmax, wmax,
+                                       static_cast<u64>(prog.rows));
+        hct.setMatrix(m, prog.elementBits, prog.bitsPerCell);
+        twin.setMatrix(m, prog.elementBits, prog.bitsPerCell);
+        for (int pass = 0; pass < 2; ++pass) {
+            for (int input_bits : {1, 2, 4, 8}) {
+                for (bool is_signed : {false, true}) {
+                    const i64 lo =
+                        is_signed ? -(i64{1} << (input_bits - 1)) : 0;
+                    const i64 hi = is_signed
+                                       ? (i64{1} << (input_bits - 1)) - 1
+                                       : (i64{1} << input_bits) - 1;
+                    std::vector<i64> x(prog.rows);
+                    for (auto &v : x)
+                        v = rng.uniformInt(lo, hi);
+                    x[0] = is_signed ? lo : hi;
+                    const std::string where =
+                        std::to_string(prog.rows) + "x" +
+                        std::to_string(prog.cols) + " pass " +
+                        std::to_string(pass) + " input " +
+                        std::to_string(input_bits) + " signed " +
+                        std::to_string(is_signed);
+                    const auto got = hct.execMvm(x, input_bits, 0);
+                    const auto want =
+                        walkReference(twin, twin_tally, x, input_bits, 0);
+                    ASSERT_EQ(got.values, want.values) << where;
+                    ASSERT_EQ(got.values, hct.ace().referenceMvm(x))
+                        << where;
+                    ASSERT_EQ(got.done, want.done) << where;
+                    ASSERT_TRUE(sameTally(tally, twin_tally)) << where;
+                    ASSERT_TRUE(sameDce(hct, twin)) << where;
+                    hct.arbiter().rebase(got.done / 2);
+                    twin.arbiter().rebase(want.done / 2);
+                    ++mvms;
+                }
+            }
+        }
+    }
+    EXPECT_EQ(mvms, 32);
 }
 
 /**
